@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .cf import cf_matrix, apply_moebius, eventually_periodic_value
 from .errors import DomainError
-from .surd import SurdSum
+from .surd import QuadSurd, SurdSum
 from .words import Word
 
 
@@ -145,28 +145,34 @@ _UNSET = object()
 
 
 def _markov_periodic(period):
-    """Exact Markov value of the two-sided periodic sequence, in O(|period|)
-    field operations: the forward tails x and backward values y at successive
-    phases obey x' = 1/x - d and y' = 1/(d + y), all inside one quadratic
-    field (the reversed period matrix is the transpose, so the discriminants
-    agree)."""
-    from .cf import eventually_periodic_value
+    """Exact Markov value of the two-sided periodic sequence, with integer
+    work only.
+
+    Let M_i = A(p_i) A(p_{i+1}) ... A(p_{i-1}), A(d) = ((d, 1), (1, 0)), be
+    the matrix of the period rotated to start at phase i.  The forward value
+    x_i = [p_i; p_{i+1}, ...] is the fixed point of M_i, and by Galois'
+    theorem on purely periodic continued fractions its conjugate is
+    -[0; p_{i-1}, p_{i-2}, ...].  So lambda at phase i is the difference of
+    the two fixed points, sqrt(D) / c_i, with c_i the lower-left entry of M_i
+    and D = tr(M_i)^2 - 4 det(M_i) the same for every rotation.  The sup is
+    sqrt(D) / min c_i, attained first at the first phase with the least c_i.
+    Successive rotations are conjugates, M_{i+1} = A(p_i)^-1 M_i A(p_i), one
+    O(1) integer step per phase.
+    """
     p = str(period)
-    n = len(p)
-    xs = [eventually_periodic_value("", p)]
-    for ch in p[:-1]:
-        xs.append(1 / xs[-1] - int(ch))
-    ys = [eventually_periodic_value("", p[::-1])]
-    for ch in p[:-1]:
-        ys.append(1 / (int(ch) + ys[-1]))
-    # ys[phi] is [0; p[phi-1], p[phi-2], ...]: the backward value at phase phi
-    best = None
-    best_i = 0
-    for i in range(n):
-        lam = xs[(i + 1) % n] + int(p[i]) + ys[i]
-        if best is None or (lam - best).sign() > 0:
-            best, best_i = lam, i
-    return SurdSum.from_value(best), True, best_i
+    a, b, c, e = 1, 0, 0, 1
+    for ch in p:
+        d = int(ch)
+        a, b, c, e = a * d + b, a, c * d + e, c
+    disc = (a + e) ** 2 - 4 * (a * e - b * c)
+    best_c, best_i = c, 0
+    for i, ch in enumerate(p[:-1]):
+        d = int(ch)
+        f = a - d * c  # A(d)^-1 M = ((c, e), (f, b - d e))
+        a, b, c, e = c * d + e, c, f * d + b - d * e, f
+        if c < best_c:
+            best_c, best_i = c, i + 1
+    return SurdSum.from_value(QuadSurd(0, 1, best_c, disc)), True, best_i
 
 
 def markov_value(s, window=None):

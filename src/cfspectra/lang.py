@@ -137,6 +137,15 @@ class TailTables:
 
 
 def _iterate_tables(j1, j2, rounds, bits, warm=None):
+    """Outer tables by `rounds` steps of x -> 1/(c + x) over the transitions,
+    each bound rounded outward to a multiple of 2**-bits.
+
+    Integer kernel: floor and ceil are monotone, so they commute with the min
+    and max over transitions, and for a next-state bound p/q the rounded
+    image is floor(scale*q / (c*q + p)) (lo) or its ceiling (hi).  Bounds are
+    carried as (numerator, denominator) pairs; after the first round every
+    denominator is scale.
+    """
     scale = 1 << bits
     lo0 = Fraction(36602, 100000)   # below (sqrt3 - 1)/2
     hi0 = Fraction(73206, 100000)   # above sqrt3 - 1
@@ -144,8 +153,12 @@ def _iterate_tables(j1, j2, rounds, bits, warm=None):
     states += [("1", L) for L in range(1, j1 + 1)]
     states += [("2", L) for L in range(1, j2 + 1)]
     # warm start from outer bounds of a weaker ban set (still outer here)
-    m = {s: (warm._m.get(s, lo0) if warm else lo0) for s in states}
-    big = {s: (warm._big.get(s, hi0) if warm else hi0) for s in states}
+    m, big = {}, {}
+    for s in states:
+        lo = warm._m.get(s, lo0) if warm else lo0
+        hi = warm._big.get(s, hi0) if warm else hi0
+        m[s] = (lo.numerator, lo.denominator)
+        big[s] = (hi.numerator, hi.denominator)
 
     trans = {}
     for s in states:
@@ -165,14 +178,17 @@ def _iterate_tables(j1, j2, rounds, bits, warm=None):
         for s in states:
             lo = hi = None
             for c, ns in trans[s]:
-                a = 1 / (c + big[ns])
-                b = 1 / (c + m[ns])
+                p, q = big[ns]
+                a = scale * q // (c * q + p)
+                p, q = m[ns]
+                b = -(-scale * q // (c * q + p))
                 lo = a if lo is None or a < lo else lo
                 hi = b if hi is None or b > hi else hi
-            m2[s] = Fraction(math.floor(lo * scale), scale)
-            big2[s] = Fraction(math.ceil(hi * scale), scale)
+            m2[s] = (lo, scale)
+            big2[s] = (hi, scale)
         m, big = m2, big2
-    return TailTables(j1, j2, m, big)
+    return TailTables(j1, j2, {s: Fraction(*v) for s, v in m.items()},
+                      {s: Fraction(*v) for s, v in big.items()})
 
 
 _FREE_TABLES = None
@@ -233,24 +249,6 @@ def tail_tables_for(t, run_cap):
 
 
 # ------------------------------------------------------- the periodic family
-
-_c_word_cache = {}
-
-
-def c_words_up_to(max_letters):
-    """Digit periods of {a, b} and all c(A) words with at most max_letters
-    letters, in increasing (letters, theta) order."""
-    key = max_letters
-    if key in _c_word_cache:
-        return _c_word_cache[key]
-    out = ["22", "11"]
-    for q in range(2, max_letters + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                out.append(str(theta_inverse(Fraction(p, q)).to_word()))
-    _c_word_cache[key] = out
-    return out
-
 
 _markov_cache = {}
 

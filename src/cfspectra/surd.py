@@ -245,9 +245,8 @@ class SurdSum:
                 sign = "-" if a < 0 else ""
                 a = abs(a)
                 return "%s%d.%0*d" % (sign, a // scale, digits, a % scale)
-            if b - a == 1 and bits > 512:
-                # value sits on a decimal boundary; report the midpoint side
-                return "%s" % (Fraction(a + b, 2 * scale).__float__())
+            # a rational value has lo == hi; an irrational one is never on a
+            # decimal boundary, so refinement always separates
             bits *= 2
 
     def __str__(self):
@@ -437,7 +436,12 @@ class QuadSurd:
         return self._cmp(other) >= 0
 
     def __hash__(self):
-        return hash((self.p, self.q, self.r, self.d))
+        if self.q == 0:
+            return hash(Fraction(self.p, self.r))  # equal Fractions and ints agree
+        # d may keep square factors above the small primes, so hash q*sqrt(d)/r
+        # by its square and sign, which equal values share
+        return hash((Fraction(self.p, self.r),
+                     Fraction(self.q * self.q * self.d, self.r * self.r), self.q > 0))
 
     def __float__(self):
         if self.q == 0:

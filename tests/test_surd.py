@@ -77,3 +77,27 @@ def test_pow():
     s = SurdSum({2: 1, 1: 1})
     assert s ** 2 == SurdSum({1: 3, 2: 2})
     assert s ** 0 == 1
+
+
+def test_decimal_prints_every_requested_digit():
+    # every k prints exactly k fractional digits, all of them correct
+    import mpmath
+    for d in (2, 3, 5, 6, 7):
+        v = SurdSum({d: 1})
+        for k in range(150, 330):
+            got = v.decimal(k)
+            whole, _, frac = got.partition(".")
+            assert len(frac) == k, (d, k, got)
+            with mpmath.workdps(k + 30):
+                want = int(mpmath.floor(mpmath.sqrt(d) * mpmath.mpf(10) ** k))
+            assert int(whole + frac) == want, (d, k)
+
+
+def test_hash_agrees_with_equality():
+    assert QuadSurd(1, 0, 2) == Fraction(1, 2)
+    assert len({QuadSurd(1, 0, 2), Fraction(1, 2)}) == 1
+    assert hash(QuadSurd(3)) == 3
+    # 20402 = 2 * 101**2 keeps its square factor (101 is not a small prime)
+    a, b = QuadSurd(1, 1, 3, 20402), QuadSurd(1, 101, 3, 2)
+    assert a == b and len({a, b}) == 1
+    assert len({QuadSurd(0, 1, 1, 2), QuadSurd(0, -1, 1, 2)}) == 2
