@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .words import ABWord, UVWord, apply_subst
+from .words import ABWord, UVWord
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cf import cf_matrix, apply_moebius, eventually_periodic_value
+from .cf import eventually_periodic_value
 from .errors import DomainError
 from .surd import QuadSurd, SurdSum
 from .words import Word
@@ -175,12 +175,14 @@ def _markov_periodic(period):
     return SurdSum.from_value(QuadSurd(0, 1, best_c, disc)), True, best_i
 
 
-def markov_value(s, window=None):
+def markov_value(s):
     """sup over i of lambda_at(s, i), exactly.
 
-    Returns (value, attained, index): attained is True when the sup is
-    achieved at a finite position (index reports one such position), else the
-    value is the periodic-limit sup and index is None.
+    Positions within two periods of the transients are scanned one by one;
+    beyond them each phase of a periodic end is a Moebius orbit whose sup is
+    closed-form.  Returns (value, attained, index): attained is True when the
+    sup is achieved at a finite position (index reports one such position),
+    else the value is the periodic-limit sup and index is None.
     """
     if (not s.left_transient and not s.right_transient
             and s.left_period.digits == s.right_period.digits):
@@ -188,8 +190,6 @@ def markov_value(s, window=None):
     nl, nr = len(s.left_period), len(s.right_period)
     lo = -(len(s.left_transient) + 2 * nl + 2)
     hi = len(s.right_transient) + 2 * nr + 2
-    if window is not None:
-        lo, hi = min(lo, -window), max(hi, window)
 
     candidates = []  # (value, attained, index)
     for i in range(lo, hi):
@@ -205,8 +205,6 @@ def markov_value(s, window=None):
     t = s.transpose()
     tbase = len(t.right_transient)
     thi = len(t.right_transient) + 2 * nl + 2
-    if window is not None:
-        thi = max(thi, window)
     for phi in range(nl):
         i0 = thi + ((tbase + phi - thi) % nl)
         val, idx = _phase_sup(t, i0, nl)

@@ -11,12 +11,13 @@ In particular [0; w] = g01/g11 and |I(w)| = 1 / (g11 * (g10 + g11)).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
 
 from .errors import DomainError
-from .surd import QuadSurd
+from .surd import QuadSurd, refine
 from .words import Word
 
 IDENTITY = (1, 0, 0, 1)
@@ -100,27 +101,47 @@ def cylinder_length(w):
     return Fraction(1, g[3] * (g[2] + g[3]))
 
 
-def r_exponent(w):
-    """floor(ln(1/|I(w)|)), certified by interval arithmetic at rising precision.
+@contextmanager
+def iv_prec(bits):
+    """Working precision of mpmath's interval context, which keeps its own
+    precision apart from mpmath.workprec."""
+    old = mpmath.iv.prec
+    mpmath.iv.prec = bits
+    try:
+        yield
+    finally:
+        mpmath.iv.prec = old
 
-    1/|I(w)| is a positive integer >= 2 whose natural log is irrational, so
-    the floor is always decidable.
+
+def floor_log(x):
+    """floor(ln x) for a rational x >= 1, certified by interval arithmetic.
+
+    ln x is irrational for rational x != 1, so the floor is always decidable.
+    Endpoints are positive except near x = 1, so math.floor, which goes
+    through a float rounded toward zero, reads them exactly.
     """
+    x = Fraction(x)
+    if x < 1:
+        raise DomainError("floor_log needs x >= 1")
+    if x == 1:
+        return 0
+
+    def decide(bits):
+        with iv_prec(bits):
+            iv = mpmath.iv.log(mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator))
+            lo, hi = math.floor(iv.a), math.floor(iv.b)
+        return lo if lo == hi else None
+
+    return refine(decide, 64)
+
+
+def r_exponent(w):
+    """floor(ln(1/|I(w)|)); 1/|I(w)| is a positive integer."""
     g = cf_matrix(w)
     q = g[3] * (g[2] + g[3])
     if q < 1:
         raise DomainError("degenerate cylinder")
-    if q == 1:
-        return 0
-    prec = 64
-    while True:
-        with mpmath.workprec(prec):
-            iv = mpmath.iv.log(mpmath.iv.mpf(q))
-            lo = math.floor(iv.a)
-            hi = math.floor(iv.b)
-        if lo == hi:
-            return int(lo)
-        prec *= 2
+    return floor_log(q)
 
 
 def periodic_fixpoint(period):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -26,9 +25,9 @@ from .alphabets import enumerate_alphabets, farey_words, theta
 from .biseq import BiSeq, lambda_at, markov_value
 from .cf import cylinder, r_exponent
 from .cuts import Cut, classify_cut, push_cut
-from .dimension import d_asymptotic, d_upper, lambert_inv, moran_bracket, thm2_bound
-from .lang import (MembershipBudget, connecting_sequence, membership,
-                   parse_threshold, sigma3_factors, sigma_enumerate)
+from .dimension import d_asymptotic, moran_bracket, thm2_bound
+from .lang import (MembershipBudget, connecting_sequence, parse_threshold,
+                   sigma_enumerate)
 from .renorm import find_alphabet
 from .surd import SurdSum
 from .words import Word
@@ -36,17 +35,14 @@ from .words import Word
 
 @dataclass
 class RunConfig:
-    precision_budget: int = 64
     enum_budget: int = 28
-    workers: int = 1
     fmt: str = "text"
-    seed: int = 0
     timing: bool = False
     verify: bool = False
 
     def __post_init__(self):
-        if self.precision_budget <= 0 or self.enum_budget <= 0 or self.workers <= 0:
-            raise errors.DomainError("budgets and worker count must be positive")
+        if self.enum_budget <= 0:
+            raise errors.DomainError("the enumeration budget must be positive")
 
 
 _SEQ_RE = re.compile(
@@ -293,11 +289,6 @@ def _add_common(p, suppress):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--format", "-f", choices=("text", "json", "csv"),
                    default=d("text"))
-    p.add_argument("--seed", type=int, default=d(0),
-                   help="seed for randomized property suites")
-    p.add_argument("--workers", type=int,
-                   default=d(int(os.environ.get("SPECTRA_WORKERS", "1"))))
-    p.add_argument("--precision-budget", type=int, default=d(64))
     p.add_argument("--enum-budget", type=int, default=d(28),
                    help="refutation depth budget for membership searches")
     p.add_argument("--timing", action="store_true", default=d(False),
@@ -395,10 +386,8 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 3
     t0 = time.time()
     try:
-        cfg = RunConfig(precision_budget=args.precision_budget,
-                        enum_budget=args.enum_budget, workers=args.workers,
-                        fmt=args.format, seed=args.seed, timing=args.timing,
-                        verify=args.verify)
+        cfg = RunConfig(enum_budget=args.enum_budget, fmt=args.format,
+                        timing=args.timing, verify=args.verify)
         code, payload, lines = args.fn(args, cfg)
     except errors.BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)

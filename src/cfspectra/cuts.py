@@ -12,6 +12,7 @@ from .surd import SurdSum
 from .words import ABWord, UVWord, Word, apply_subst
 
 THREE = Fraction(3)
+CUT_DEPTH = 14  # extension digits classify_cut tries before "unresolved"
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def _lambda_pair(left_period, lext, body, rext, right_period, pos_l, pos_r):
     return lambda_at(seq, off + pos_l), lambda_at(seq, off + pos_r)
 
 
-def classify_cut(cut, max_depth=14):
+def classify_cut(cut):
     """Exact classification of the two bar-adjacent positions.
 
     good: lambda < 3 at both positions for every completion (exact suprema via
@@ -101,7 +102,7 @@ def classify_cut(cut, max_depth=14):
                 if vl <= THREE and vr <= THREE:
                     return CutClass("mixed", sup_l, sup_r,
                                     depth=len(lext) + len(rext))
-        if len(lext) + len(rext) >= max_depth:
+        if len(lext) + len(rext) >= CUT_DEPTH:
             capped = True
             continue
         if len(lext) <= len(rext):
@@ -109,7 +110,7 @@ def classify_cut(cut, max_depth=14):
         else:
             stack.extend([(lext, rext + "1"), (lext, rext + "2")])
     if capped:
-        return CutClass("unresolved", sup_l, sup_r, depth=max_depth)
+        return CutClass("unresolved", sup_l, sup_r, depth=CUT_DEPTH)
     return CutClass("bad", sup_l, sup_r)
 
 

@@ -9,10 +9,12 @@ from itertools import product
 
 import mpmath
 
-from .biseq import BiSeq, lambda_at
-from .cf import cf_matrix, cylinder_length, apply_moebius, periodic_fixpoint
+from .cf import cf_matrix, cylinder_length, apply_moebius, iv_prec, periodic_fixpoint
 from .errors import DomainError, EmptyLanguage
-from .surd import QuadSurd, SurdSum
+from .surd import SurdSum, refine
+
+MORAN_TOL = Fraction(1, 10 ** 6)  # bisection width of each Moran root
+LAMBERT_TOL = 1e-12               # relative residual of lambert_inv
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,8 @@ def _interval_pow(x_num, x_den, s):
 def _sum_sign(lengths, s, adjust):
     """Sign of 2**(adjust*s) * sum(len**s) - 1 via interval refinement;
     s rational, adjust in {-1, +1}."""
-    prec = 64
-    while True:
-        with mpmath.workprec(prec):
+    def decide(bits):
+        with iv_prec(bits):
             total = _interval_pow(2 ** max(adjust, 0), 2 ** max(-adjust, 0), s)
             acc = mpmath.iv.mpf(0)
             for num, den in lengths:
@@ -53,12 +54,12 @@ def _sum_sign(lengths, s, adjust):
                 return 1
             if total.b < 1:
                 return -1
-        prec *= 2
-        if prec > 1 << 16:  # pragma: no cover - equality cannot occur here
-            raise RuntimeError("bisection comparison failed to resolve")
+        return None
+
+    return refine(decide, 64)
 
 
-def _root(lengths, adjust, tol):
+def _root(lengths, adjust):
     """Root of 2**(adjust*s) * sum(len**s) = 1 on [0, 1], certified bisection.
 
     The map is nonincreasing in s with value = word count at s = 0, so the
@@ -73,7 +74,7 @@ def _root(lengths, adjust, tol):
     lo, hi = Fraction(0), Fraction(1)
     if _sum_sign(lengths, hi, adjust) > 0:
         return 1.0
-    while hi - lo > tol:
+    while hi - lo > MORAN_TOL:
         mid = (lo + hi) / 2
         if _sum_sign(lengths, mid, adjust) > 0:
             lo = mid
@@ -82,17 +83,17 @@ def _root(lengths, adjust, tol):
     return float((lo + hi) / 2)
 
 
-def moran_bracket(words, mode="free-blocks", level=None, tol=Fraction(1, 10 ** 6)):
-    """Certified dimension bracket for the free-concatenation limit set.
+def moran_bracket(words, level=None):
+    """Certified dimension bracket for the limit set of free concatenations
+    of equal-length blocks.
 
     upper = root of 2**s  * sum |I(w)|**s = 1,
     lower = root of 2**-s * sum |I(w)|**s = 1,
     with the distortion constant 2 of cylinder quasi-multiplicativity.  With
     level set, the block set is refined to all concatenations of that length
-    first.  Cylinder lengths are exact; the bisection is interval-certified.
+    first.  Cylinder lengths are exact; the bisection is interval-certified
+    to MORAN_TOL, and each root is widened outward by MORAN_TOL.
     """
-    if mode != "free-blocks":
-        raise DomainError("unknown mode %r" % mode)
     words = sorted(str(w) for w in words)
     if not words:
         raise EmptyLanguage("moran_bracket needs at least one word")
@@ -111,9 +112,9 @@ def moran_bracket(words, mode="free-blocks", level=None, tol=Fraction(1, 10 ** 6
     for w in words:
         f = cylinder_length(w)
         lengths.append((f.numerator, f.denominator))
-    upper = _root(lengths, +1, tol)
-    lower = _root(lengths, -1, tol)
-    slack = float(tol)
+    upper = _root(lengths, +1)
+    lower = _root(lengths, -1)
+    slack = float(MORAN_TOL)
     lower = max(0.0, lower - slack)
     upper = min(1.0, upper + slack)
     if lower > upper:
@@ -121,53 +122,33 @@ def moran_bracket(words, mode="free-blocks", level=None, tol=Fraction(1, 10 ** 6
     return DimBracket(lower, upper, m, len(words))
 
 
-def d_upper(t, m, budget=None):
+def d_upper(t, m):
     """Certified upper bound for the spectrum dimension at threshold t:
     min(1, 2 * upper Moran root over the level-m language).  Unresolved words
     are included, which can only inflate the bound."""
     from .lang import sigma_enumerate
-    ls = sigma_enumerate(t, m, budget)
+    ls = sigma_enumerate(t, m)
     words = sorted(ls.words) + sorted(ls.unresolved)
     if not words:
         return 0.0
     return min(1.0, 2.0 * moran_bracket(words).upper)
 
 
-def _pair_fixpoints(mats):
-    """Fixed-point values [0; overline(b1 b2)] for all ordered block pairs."""
-    out = []
-    for g1 in mats:
-        for g2 in mats:
-            g = (g1[0] * g2[0] + g1[1] * g2[2], g1[0] * g2[1] + g1[1] * g2[3],
-                 g1[2] * g2[0] + g1[3] * g2[2], g1[2] * g2[1] + g1[3] * g2[3])
-            a, b, c = g[2], g[3] - g[0], -g[1]
-            disc = b * b - 4 * a * c
-            root = QuadSurd(-b, 1, 2 * a, disc)
-            if root.sign() <= 0:
-                root = QuadSurd(-b, -1, 2 * a, disc)
-            out.append(root)
-    return out
-
-
 def _tail_extremes(blocks):
     """Exact sup and inf of [0; X] over infinite free concatenations X of the
     blocks: the optimum is at most 2-periodic in the blocks, so it is the
     extreme fixed point over ordered block pairs."""
-    mats = [cf_matrix(b) for b in blocks]
-    vals = _pair_fixpoints(mats)
-    sup = max(vals)
-    inf = min(vals)
-    return sup, inf
+    vals = [periodic_fixpoint(b1 + b2) for b1 in blocks for b2 in blocks]
+    return max(vals), min(vals)
 
 
-def certify_blocks(blocks, t, window=None, budget=None):
+def certify_blocks(blocks, t):
     """True iff every position of every bi-infinite free concatenation of the
     blocks keeps lambda <= t; exact.
 
-    Works through exact tail extremes over block concatenations, so boundary
-    thresholds (for example t equal to the system's Markov value) certify;
-    the window/budget arguments are accepted for interface compatibility but
-    the computation is closed-form.
+    Closed form: each position's sup of lambda is read off the exact tail
+    extremes over block concatenations, so boundary thresholds (for example
+    t equal to the system's Markov value) certify.
     """
     blocks = sorted(str(b) for b in blocks)
     if not blocks:
@@ -199,10 +180,11 @@ def certify_blocks(blocks, t, window=None, budget=None):
     return True
 
 
-def lambert_inv(y, tol=1e-12):
+def lambert_inv(y):
     """Inverse of H(x) = x * e**x on the principal branch, by guarded Newton.
 
-    Requires y >= -1/e; the result satisfies |H(x) - y| <= tol * max(1, |y|).
+    Requires y >= -1/e; the result satisfies
+    |H(x) - y| <= LAMBERT_TOL * max(1, |y|).
     """
     y = float(y)
     if y < -math.exp(-1):
@@ -222,7 +204,7 @@ def lambert_inv(y, tol=1e-12):
     for _ in range(200):
         ex = math.exp(x)
         f = x * ex - y
-        if abs(f) <= tol * max(1.0, abs(y)):
+        if abs(f) <= LAMBERT_TOL * max(1.0, abs(y)):
             return x
         d1 = ex * (x + 1)
         if d1 <= 0:

@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .alphabets import farey_words, theta_inverse
 from .biseq import BiSeq, markov_value
-from .cf import IDENTITY, mat_mul
+from .cf import IDENTITY, floor_log, mat_mul, r_exponent
 from .errors import DomainError
 from .surd import QuadSurd, SurdSum
-from .words import ABWord, Word
+from .words import Word
 
 
 # ---------------------------------------------------------------- thresholds
@@ -512,7 +510,6 @@ def _aabb_factor(s, rmax):
     Any word containing such a factor has Markov value above 3 + e^-r, so
     this is a certified refutation at thresholds t <= 3 + e^-r.
     """
-    from .cf import r_exponent
     for A, B in _alphabet_digit_pairs(len(s)):
         if 2 * (len(A) + len(B)) > len(s):
             continue
@@ -529,43 +526,6 @@ def _aabb_factor(s, rmax):
     return None
 
 
-def _bar_cut_factor(s, spec):
-    """Look for a factor 11 rev(D) 11 22 D 22 (or its transpose) with D the
-    digit image of an {a,b}-word.
-
-    Such a factor pins a cut ... b w* b | a w a ... whose bar position has
-    lambda > 3 + |I(w)|/144 in every completion, refuting any threshold at or
-    below that bound.  Returns the factor or None.
-    """
-    from .cf import cylinder_length
-    if spec[0] != "rat":
-        return None
-    t = Fraction(spec[1], spec[2])
-    for target in (s, s[::-1]):
-        n = len(target)
-        i = target.find("1122")
-        while i >= 0:
-            kmax = min(i - 2, n - i - 6)
-            for k in range(0, kmax + 1, 2):
-                if target[i + 4 + k: i + 6 + k] != "22":
-                    continue
-                if target[i - k - 2: i - k] != "11":
-                    break  # left wall missing; longer k moves it further out
-                D = target[i + 4: i + 4 + k]
-                if target[i - k: i] != D[::-1]:
-                    continue
-                if D:
-                    try:
-                        ABWord.from_word(Word(D))
-                    except ValueError:
-                        continue  # the pinned word must be an {a,b}-word
-                bound = Fraction(3) + cylinder_length(D or "") / 144
-                if t <= bound:
-                    return target[i - k - 2: i + 6 + k]
-            i = target.find("1122", i + 1)
-    return None
-
-
 def _aabb_rmax(spec):
     """Largest r with e^-r >= t - 3, or None for t <= 3, or -1 when the
     block rule cannot apply (t >= 4)."""
@@ -577,19 +537,11 @@ def _aabb_rmax(spec):
     num, den = td, tn - 3 * td  # 1/(t-3)
     if num <= den:
         return -1
-    prec = 64
-    while True:
-        with mpmath.workprec(prec):
-            iv = mpmath.iv.log(mpmath.iv.mpf(num) / mpmath.iv.mpf(den))
-            lo, hi = math.floor(iv.a), math.floor(iv.b)
-        if lo == hi:
-            return int(lo)
-        prec *= 2
+    return floor_log(Fraction(num, den))
 
 
 @dataclass
 class MembershipBudget:
-    max_period_letters: int = 40
     max_refute_depth: int = 28
     max_frontier: int = 8192
 
@@ -620,8 +572,7 @@ def membership(w, t, budget=None):
             if (val - t_sum).sign() <= 0:
                 return _periodic_witness(period, off, s, t, val)
     else:
-        maxq = max(budget.max_period_letters, len(s) // 2 + 4)
-        for q in range(1, maxq + 1):
+        for q in range(1, len(s) // 2 + 5):
             for period in _periods_with_letters(q):
                 for win, off in _windows(period, len(s)):
                     if win == s:
@@ -638,14 +589,12 @@ def membership(w, t, budget=None):
             return _periodic_witness(period, 0, s, t, val)
 
     # certified refutation rules, then the two-sided search; each context is
-    # screened by the position bounds, the coupled bar bound, and both
-    # forbidden-block scanners
+    # screened by the position bounds, the coupled bar bound, and the
+    # forbidden-block scanner
     rmax = _aabb_rmax(spec)
 
     def refuted(ctx):
         if _position_violation(ctx, spec, tables):
-            return True
-        if _bar_cut_factor(ctx, spec) is not None:
             return True
         return rmax != -1 and _aabb_factor(ctx, rmax) is not None
 

@@ -16,6 +16,24 @@ from fractions import Fraction
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
+REFINE_CAP = 1 << 22  # bits
+
+
+def refine(decide, bits):
+    """decide(bits) at bits, 2*bits, 4*bits, ... until it returns non-None.
+
+    decide answers from an outward enclosure at the given precision and
+    returns None while the enclosure is too wide; the first answer is final,
+    because a certified answer does not depend on the precision that found
+    it.  Raises RuntimeError past REFINE_CAP bits.
+    """
+    while bits <= REFINE_CAP:
+        got = decide(bits)
+        if got is not None:
+            return got
+        bits *= 2
+    raise RuntimeError("refinement undecided at %d bits" % REFINE_CAP)
+
 
 def extract_square(d):
     """Return (s, core) with d = s*s*core, pulling out small square factors.
@@ -199,16 +217,15 @@ class SurdSum:
             ((_, c),) = self._terms.items()
             return (c > 0) - (c < 0)
         # >= 2 pairwise non-commensurable radicals: the value is nonzero
-        bits = 32
-        while True:
-            lo, hi = self._bounds(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-            if bits > (1 << 22):  # pragma: no cover
-                raise RuntimeError("sign refinement failed to separate: %r" % self)
+        return refine(self._sign_at, 32)
+
+    def _sign_at(self, bits):
+        lo, hi = self._bounds(bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, (SurdSum, QuadSurd, Fraction, int)):
@@ -235,19 +252,20 @@ class SurdSum:
 
     def decimal(self, digits=12):
         """Certified decimal string with the stated number of fractional digits."""
-        bits = 16
         scale = 10 ** digits
-        while True:
+
+        def decide(bits):
             lo, hi = self._bounds(bits)
             a = math.floor(lo * scale)
-            b = math.floor(hi * scale)
-            if a == b:
-                sign = "-" if a < 0 else ""
-                a = abs(a)
-                return "%s%d.%0*d" % (sign, a // scale, digits, a % scale)
-            # a rational value has lo == hi; an irrational one is never on a
-            # decimal boundary, so refinement always separates
-            bits *= 2
+            if a != math.floor(hi * scale):
+                # a rational value has lo == hi; an irrational one is never
+                # on a decimal boundary, so refinement always separates
+                return None
+            sign = "-" if a < 0 else ""
+            a = abs(a)
+            return "%s%d.%0*d" % (sign, a // scale, digits, a % scale)
+
+        return refine(decide, 16)
 
     def __str__(self):
         if not self._terms:
@@ -319,7 +337,9 @@ class QuadSurd:
         return Fraction(self.p, self.r)
 
     def to_sum(self):
-        return SurdSum({1: Fraction(self.p, self.r), self.d or 1: Fraction(self.q, self.r)})
+        # pairs, not a dict: for a rational value both terms have radicand 1
+        return SurdSum(((1, Fraction(self.p, self.r)),
+                        (self.d or 1, Fraction(self.q, self.r))))
 
     def _same_field(self, other):
         if isinstance(other, QuadSurd):

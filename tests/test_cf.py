@@ -5,7 +5,9 @@ import mpmath
 import pytest
 
 from cfspectra.cf import (cylinder, cylinder_length, eval_cf, extremal_tail,
-                          periodic_cf_value, periodic_fixpoint, r_exponent)
+                          floor_log, periodic_cf_value, periodic_fixpoint,
+                          r_exponent)
+from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum
 from cfspectra.words import Word
 
@@ -71,6 +73,20 @@ def test_r_exponent_examples():
     assert r_exponent("11") == 1  # 1/|I| = 6 lies in [e, e^2)
     assert r_exponent("1") == 0
     assert r_exponent("2") == 1   # 1/|I| = 6 as well
+
+
+def test_floor_log_at_integer_boundaries():
+    # ln floor(e^k) falls short of k by less than e^-k, so deciding it takes
+    # about 1.44 k bits
+    with mpmath.workdps(120):
+        tops = [int(mpmath.floor(mpmath.exp(k))) for k in range(1, 201)]
+    for k, q in enumerate(tops, start=1):
+        assert floor_log(q) == k - 1, k
+        assert floor_log(q + 1) == k, k
+    assert floor_log(1) == 0
+    assert floor_log(Fraction(7, 2)) == 1
+    with pytest.raises(DomainError):
+        floor_log(Fraction(1, 2))
 
 
 def test_r_exponent_growth_bounds():

@@ -47,6 +47,19 @@ def test_exit_codes():
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", [("--workers", "2"), ("--seed", "1"),
+                                  ("--precision-budget", "64")])
+def test_unknown_common_flags_are_usage_errors(flag):
+    assert cli.main([*flag, "sigma", "--t", "3", "--n", "4"]) == 3
+
+
+def test_common_flags():
+    opts = {o for a in cli.build_parser()._actions for o in a.option_strings
+            if o.startswith("--")}
+    assert opts == {"--help", "--format", "--enum-budget", "--timing", "--verify"}
+    assert cli.main(["--enum-budget", "0", "sigma", "--t", "3", "--n", "4"]) == 1
+
+
 def test_unresolved_exit_code(monkeypatch):
     from cfspectra.lang import LanguageSet, MembershipCertificate
     from cfspectra.words import Word

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cfspectra.surd import QuadSurd, SurdSum, extract_square
+from cfspectra.surd import QuadSurd, SurdSum, extract_square, refine
 
 
 def test_extract_square():
@@ -41,6 +44,12 @@ def test_arithmetic_and_division():
     assert (mixed - g) == s.to_sum()
     quot = mixed / SurdSum({2: 1})
     assert quot * SurdSum({2: 1}) == mixed
+
+
+def test_rational_quad_surd_keeps_its_value_as_a_sum():
+    assert QuadSurd(5, 0, 2).to_sum() == Fraction(5, 2)
+    assert QuadSurd(3) + SurdSum({2: 1}) == SurdSum({1: 3, 2: 1})
+    assert QuadSurd(3) * SurdSum({2: 1, 3: 1}) == SurdSum({2: 3, 3: 3})
 
 
 def test_total_order_trichotomy():
@@ -101,3 +110,50 @@ def test_hash_agrees_with_equality():
     a, b = QuadSurd(1, 1, 3, 20402), QuadSurd(1, 101, 3, 2)
     assert a == b and len({a, b}) == 1
     assert len({QuadSurd(0, 1, 1, 2), QuadSurd(0, -1, 1, 2)}) == 2
+
+
+def test_refine_doubles_until_decided_and_raises_past_the_cap():
+    seen = []
+    assert refine(lambda bits: seen.append(bits) or (bits if bits >= 256 else None),
+                  32) == 256
+    assert seen == [32, 64, 128, 256]
+    with pytest.raises(RuntimeError):
+        refine(lambda bits: None, 32)
+
+
+_RADICANDS = (0, 2, 3, 5, 6, 8, 12, 221)
+
+quad_surds = st.builds(QuadSurd, st.integers(-30, 30), st.integers(-6, 6),
+                       st.integers(1, 12), st.sampled_from(_RADICANDS))
+surd_sums = st.dictionaries(st.sampled_from((1,) + _RADICANDS[1:]),
+                            st.fractions(min_value=-20, max_value=20,
+                                         max_denominator=12),
+                            max_size=3).map(SurdSum)
+values = st.one_of(quad_surds, surd_sums)
+
+
+def _mp(v):
+    """The value at the working mpmath precision, read off its components."""
+    if isinstance(v, QuadSurd):
+        return (v.p + v.q * mpmath.sqrt(v.d)) / v.r
+    return sum((mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(d)
+                for d, c in v.terms), mpmath.mpf(0))
+
+
+@given(values, values)
+def test_order_agrees_with_mpmath(a, b):
+    with mpmath.workdps(300):
+        diff = _mp(a) - _mp(b)
+    if abs(diff) > mpmath.mpf(10) ** -280:
+        assert (a < b) == (diff < 0) and (a > b) == (diff > 0)
+        assert (a <= b) == (diff < 0) and (a >= b) == (diff > 0)
+        assert a != b and b != a
+    assert sum([a < b, a == b, a > b]) == 1
+
+
+@given(values, values, values)
+def test_field_identities(a, b, c):
+    assert (a + b) - b == a
+    assert a * (b + c) == a * b + a * c
+    if b != 0:
+        assert (a * b) / b == a
