@@ -229,7 +229,6 @@ def cmd_connect(args, cfg):
 
 
 def cmd_dim(args, cfg):
-    t0 = time.time()
     if args.blocks:
         words = [w.strip() for w in args.blocks.split(",") if w.strip()]
     else:
@@ -237,7 +236,7 @@ def cmd_dim(args, cfg):
             words = [line.strip() for line in fh if line.strip()]
     b = moran_bracket(words, level=args.level)
     payload = {"lower": b.lower, "upper": b.upper, "level": b.level,
-               "count": b.word_count, "elapsed": time.time() - t0}
+               "count": b.word_count}
     lines = ["bracket: [%.6f, %.6f] at level %d over %d cylinders"
              % (b.lower, b.upper, b.level, b.word_count)]
     return 0, payload, lines

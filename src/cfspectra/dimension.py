@@ -33,67 +33,99 @@ class DimBracket:
         return self.lower <= x <= self.upper
 
 
-def _interval_pow(x_num, x_den, s):
-    """Interval enclosure of (x_num/x_den)**s for exact integer inputs."""
-    base = mpmath.iv.mpf(x_num) / mpmath.iv.mpf(x_den)
-    return mpmath.iv.exp(mpmath.iv.mpf(s.numerator) / mpmath.iv.mpf(s.denominator)
-                         * mpmath.iv.log(base))
+def _iv_log(num, den):
+    """Interval enclosure of log(num/den) at the current interval precision."""
+    return mpmath.iv.log(mpmath.iv.mpf(num) / mpmath.iv.mpf(den))
 
 
-def _sum_sign(lengths, s, adjust):
-    """Sign of 2**(adjust*s) * sum(len**s) - 1 via interval refinement;
-    s rational, adjust in {-1, +1}."""
-    def decide(bits):
-        with iv_prec(bits):
-            total = _interval_pow(2 ** max(adjust, 0), 2 ** max(-adjust, 0), s)
-            acc = mpmath.iv.mpf(0)
-            for num, den in lengths:
-                acc += _interval_pow(num, den, s)
-            total = total * acc
-            if total.a > 1:
-                return 1
-            if total.b < 1:
-                return -1
-        return None
+class _MoranSums:
+    """The maps s -> 2**(adjust*s) * sum(len**s) of one set of exact cylinder
+    lengths, adjust in {-1, +1}; every length is at most 1/2, so both maps
+    are nonincreasing in s.
 
-    return refine(decide, 64)
+    Each length's logarithm is taken once: as a float for the guide, and as
+    an interval per precision for the certified signs, shared by both roots.
+    """
+
+    def __init__(self, lengths):
+        self.lengths = lengths
+        self.logs = [math.log(num) - math.log(den) for num, den in lengths]
+        self._iv_logs = {}
+
+    def guide(self, s, adjust):
+        """Float guess of whether the map exceeds 1 at s (log-sum-exp);
+        only ever used to choose which endpoints to certify."""
+        s = float(s)
+        terms = [s * lg for lg in self.logs]
+        top = max(terms)
+        return adjust * s * math.log(2) + top + math.log(
+            sum(math.exp(x - top) for x in terms)) > 0
+
+    def sign(self, s, adjust):
+        """Certified sign of the map minus 1 at rational s, by interval
+        refinement."""
+        def decide(bits):
+            with iv_prec(bits):
+                if bits not in self._iv_logs:
+                    self._iv_logs[bits] = [_iv_log(n, d) for n, d in self.lengths]
+                s_iv = mpmath.iv.mpf(s.numerator) / mpmath.iv.mpf(s.denominator)
+                acc = mpmath.iv.mpf(0)
+                for lg in self._iv_logs[bits]:
+                    acc += mpmath.iv.exp(s_iv * lg)
+                total = mpmath.iv.exp(s_iv * _iv_log(2 ** max(adjust, 0),
+                                                     2 ** max(-adjust, 0))) * acc
+                if total.a > 1:
+                    return 1
+                if total.b < 1:
+                    return -1
+            return None
+
+        return refine(decide, 64)
 
 
-def _root(lengths, adjust):
+def _bisect(above):
+    """Dyadic bisection of [0, 1] down to width MORAN_TOL, moving lo to the
+    midpoint where above(mid) holds and hi otherwise; returns (lo, hi)."""
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > MORAN_TOL:
+        mid = (lo + hi) / 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _root(sums, adjust):
     """Root of 2**(adjust*s) * sum(len**s) = 1 on [0, 1], certified bisection.
 
     The map is nonincreasing in s with value = word count at s = 0, so the
     root is 0 for a single block (1 for the degenerate block of length 1/2,
     whose upper condition is identically one) and is capped at 1 otherwise.
+
+    The float guide runs the bisection and only its final lo and hi are
+    certified (lo = 0 and hi = 1 need no check: the guide never moved them,
+    and s = 1 is certified first); see moran_bracket for why that suffices.
+    If either endpoint fails, the bisection reruns on certified signs alone.
     """
-    if len(lengths) == 1:
-        num, den = lengths[0]
+    if len(sums.lengths) == 1:
+        num, den = sums.lengths[0]
         if adjust > 0 and 2 * num == den:
             return 1.0
         return 0.0
-    lo, hi = Fraction(0), Fraction(1)
-    if _sum_sign(lengths, hi, adjust) > 0:
+    if sums.sign(Fraction(1), adjust) > 0:
         return 1.0
-    while hi - lo > MORAN_TOL:
-        mid = (lo + hi) / 2
-        if _sum_sign(lengths, mid, adjust) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda s: sums.guide(s, adjust))
+    if not ((lo == 0 or sums.sign(lo, adjust) > 0)
+            and (hi == 1 or sums.sign(hi, adjust) < 0)):
+        lo, hi = _bisect(lambda s: sums.sign(s, adjust) > 0)
     return float((lo + hi) / 2)
 
 
-def moran_bracket(words, level=None):
-    """Certified dimension bracket for the limit set of free concatenations
-    of equal-length blocks.
-
-    upper = root of 2**s  * sum |I(w)|**s = 1,
-    lower = root of 2**-s * sum |I(w)|**s = 1,
-    with the distortion constant 2 of cylinder quasi-multiplicativity.  With
-    level set, the block set is refined to all concatenations of that length
-    first.  Cylinder lengths are exact; the bisection is interval-certified
-    to MORAN_TOL, and each root is widened outward by MORAN_TOL.
-    """
+def _cylinders(words, level):
+    """Exact cylinder lengths (num, den) of the sorted equal-length blocks,
+    refined first to all concatenations of length level if it is set;
+    returns (lengths, block length)."""
     words = sorted(str(w) for w in words)
     if not words:
         raise EmptyLanguage("moran_bracket needs at least one word")
@@ -112,26 +144,55 @@ def moran_bracket(words, level=None):
     for w in words:
         f = cylinder_length(w)
         lengths.append((f.numerator, f.denominator))
-    upper = _root(lengths, +1)
-    lower = _root(lengths, -1)
-    slack = float(MORAN_TOL)
-    lower = max(0.0, lower - slack)
-    upper = min(1.0, upper + slack)
+    return lengths, m
+
+
+def _upper(sums):
+    """The upper root widened outward by MORAN_TOL, capped at 1."""
+    return min(1.0, _root(sums, +1) + float(MORAN_TOL))
+
+
+def moran_bracket(words, level=None):
+    """Certified dimension bracket for the limit set of free concatenations
+    of equal-length blocks.
+
+    upper = root of 2**s  * sum |I(w)|**s = 1,
+    lower = root of 2**-s * sum |I(w)|**s = 1,
+    with the distortion constant 2 of cylinder quasi-multiplicativity.  With
+    level set, the block set is refined to all concatenations of that length
+    first.  Cylinder lengths are exact, and each root is widened outward by
+    MORAN_TOL.
+
+    Each root is a dyadic bisection of [0, 1] to width MORAN_TOL whose
+    midpoints are decided by a float log-sum-exp guide; no float result is
+    trusted.  Only the final lo and hi are certified by interval sums, next
+    to the s = 1 check.  Both maps are nonincreasing in s, and every
+    midpoint the guide sent to lo is <= lo and every one it sent to hi is
+    >= hi.  So a certified sign > 0 at lo and < 0 at hi proves that the
+    bisection on certified signs takes the same path and returns the same
+    root: three certified sums per root instead of 21.  If the guide misled
+    it at either endpoint, that root is bisected again on certified signs.
+    """
+    lengths, m = _cylinders(words, level)
+    sums = _MoranSums(lengths)
+    upper = _upper(sums)
+    lower = max(0.0, _root(sums, -1) - float(MORAN_TOL))
     if lower > upper:
         lower = upper
-    return DimBracket(lower, upper, m, len(words))
+    return DimBracket(lower, upper, m, len(lengths))
 
 
 def d_upper(t, m):
     """Certified upper bound for the spectrum dimension at threshold t:
     min(1, 2 * upper Moran root over the level-m language).  Unresolved words
-    are included, which can only inflate the bound."""
+    are included, which can only inflate the bound.  Only the upper root of
+    the bracket is computed."""
     from .lang import sigma_enumerate
     ls = sigma_enumerate(t, m)
     words = sorted(ls.words) + sorted(ls.unresolved)
     if not words:
         return 0.0
-    return min(1.0, 2.0 * moran_bracket(words).upper)
+    return min(1.0, 2.0 * _upper(_MoranSums(_cylinders(words, None)[0])))
 
 
 def _tail_extremes(blocks):

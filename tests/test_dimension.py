@@ -7,7 +7,7 @@ import pytest
 from cfspectra.dimension import (C0, certify_blocks, d_asymptotic, d_upper,
                                  lambert_inv, moran_bracket, thm2_bound)
 from cfspectra.errors import DomainError, EmptyLanguage
-from cfspectra.lang import parse_threshold
+from cfspectra.lang import parse_threshold, sigma_enumerate
 from cfspectra.surd import QuadSurd
 
 
@@ -99,3 +99,6 @@ def test_d_upper_cap_and_small_grid():
     a = d_upper(parse_threshold("3+6^-6"), 8)
     b = d_upper(parse_threshold("3+6^-9"), 8)
     assert 0 < b <= a <= 1.0
+    # d_upper computes only the upper root: the same value as the full bracket's
+    ls = sigma_enumerate(parse_threshold("3+6^-6"), 8)
+    assert a == min(1.0, 2.0 * moran_bracket(sorted(ls.words) + sorted(ls.unresolved)).upper)

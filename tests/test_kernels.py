@@ -1,13 +1,17 @@
-"""The integer kernels against the exact Fraction/QuadSurd routes they replace."""
+"""The fast kernels against the exact routes they replace: integer tables and
+periodic Markov values, and the float-guided Moran roots."""
 
 import math
 from fractions import Fraction
 
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfspectra import lang
+from cfspectra import dimension, lang
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
+from cfspectra.cf import iv_prec
+from cfspectra.surd import refine
 
 
 def _iterate_tables_reference(j1, j2, rounds, bits, warm=None):
@@ -84,3 +88,115 @@ def test_periodic_markov_matches_general_path(p):
     seq = BiSeq.periodic(p)
     assert lambda_at(seq, idx) == value
     assert all(lambda_at(seq, j) < value for j in range(idx))  # first phase wins ties
+
+
+def _interval_pow_reference(x_num, x_den, s):
+    base = mpmath.iv.mpf(x_num) / mpmath.iv.mpf(x_den)
+    return mpmath.iv.exp(mpmath.iv.mpf(s.numerator) / mpmath.iv.mpf(s.denominator)
+                         * mpmath.iv.log(base))
+
+
+def _sum_sign_reference(lengths, s, adjust):
+    def decide(bits):
+        with iv_prec(bits):
+            total = _interval_pow_reference(2 ** max(adjust, 0), 2 ** max(-adjust, 0), s)
+            acc = mpmath.iv.mpf(0)
+            for num, den in lengths:
+                acc += _interval_pow_reference(num, den, s)
+            total = total * acc
+            if total.a > 1:
+                return 1
+            if total.b < 1:
+                return -1
+        return None
+
+    return refine(decide, 64)
+
+
+def _root_reference(lengths, adjust):
+    """The certified bisection: every midpoint decided by an interval sum."""
+    if len(lengths) == 1:
+        num, den = lengths[0]
+        if adjust > 0 and 2 * num == den:
+            return 1.0
+        return 0.0
+    lo, hi = Fraction(0), Fraction(1)
+    if _sum_sign_reference(lengths, hi, adjust) > 0:
+        return 1.0
+    while hi - lo > dimension.MORAN_TOL:
+        mid = (lo + hi) / 2
+        if _sum_sign_reference(lengths, mid, adjust) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float((lo + hi) / 2)
+
+
+_block_sets = st.integers(1, 5).flatmap(
+    lambda m: st.lists(st.text(alphabet="12", min_size=m, max_size=m),
+                       min_size=1, max_size=8, unique=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_block_sets, st.sampled_from([-1, 1]))
+def test_guided_root_matches_certified_bisection(blocks, adjust):
+    lengths, _ = dimension._cylinders(blocks, None)
+    assert (dimension._root(dimension._MoranSums(lengths), adjust)
+            == _root_reference(lengths, adjust))
+
+
+# (repr(lower), repr(upper)) of the certified bisection at every midpoint
+PINNED_BRACKETS = [
+    (["1", "2"], 4, "0.47450299398803714", "0.629606770111084"),
+    (["1", "2"], 8, "0.5013575090637207", "0.5760798917541504"),
+    (["1", "2"], 10, "0.5070719255676269", "0.5664859281311035"),
+    (["2211", "1212"], None, "0.11631341116333008", "0.15159087045288086"),
+    (["1"], None, "0.0", "1.0"),
+    (["2"], None, "0.0", "1e-06"),
+]
+
+
+def test_brackets_pinned_to_certified_bisection():
+    for blocks, level, lower, upper in PINNED_BRACKETS:
+        b = dimension.moran_bracket(blocks, level=level)
+        assert (repr(b.lower), repr(b.upper)) == (lower, upper), (blocks, level)
+
+
+def test_lying_guide_falls_back_to_certified_bisection(monkeypatch):
+    guide = dimension._MoranSums.guide
+    lies = []
+
+    def lie_once(self, s, adjust):
+        honest = guide(self, s, adjust)
+        if lies:
+            return honest
+        lies.append(s)
+        return not honest
+
+    sums = []
+    sign = dimension._MoranSums.sign
+
+    def counted(self, s, adjust):
+        sums.append(s)
+        return sign(self, s, adjust)
+
+    monkeypatch.setattr(dimension._MoranSums, "guide", lie_once)
+    monkeypatch.setattr(dimension._MoranSums, "sign", counted)
+    b = dimension.moran_bracket(["1", "2"], level=8)
+    assert lies == [Fraction(1, 2)]
+    assert len(sums) > 6  # the misled root was bisected again on certified signs
+    assert (repr(b.lower), repr(b.upper)) == ("0.5013575090637207", "0.5760798917541504")
+
+
+def test_moran_bracket_makes_at_most_six_certified_sums(monkeypatch):
+    evaluations = []
+
+    def counted(decide, bits):
+        def each(b):
+            evaluations.append(b)
+            return decide(b)
+        return refine(each, bits)
+
+    monkeypatch.setattr(dimension, "refine", counted)
+    dimension.moran_bracket(["1", "2"], level=10)
+    assert 0 < len(evaluations) <= 6
