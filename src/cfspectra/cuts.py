@@ -41,7 +41,13 @@ class Cut:
 
 def position_bounds(word, i):
     """(min, max) of lambda at position i of a finite word, over all bi-infinite
-    completions; exact values attained by the alternating extremal tails."""
+    completions; exact values attained by the alternating extremal tails.
+
+    This is deliberately not the integer tail-image kernel of lang.  lang's
+    bounds are outer bounds over tails that respect the certified run bans,
+    so they differ from these exact free-tail extrema, which `cfspectra cuts`
+    prints.  Kept apart, this route can check lang's refutations
+    independently."""
     s = str(word)
     d = int(s[i])
     _, fmax = extremal_tail(s[i + 1:], "max")

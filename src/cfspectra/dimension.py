@@ -123,10 +123,14 @@ def _root(sums, adjust):
 
 
 def _cylinders(words, level):
-    """Exact cylinder lengths (num, den) of the sorted equal-length blocks,
-    refined first to all concatenations of length level if it is set;
-    returns (lengths, block length)."""
-    words = sorted(str(w) for w in words)
+    """Exact cylinder lengths (num, den) of the distinct equal-length blocks,
+    sorted, refined first to all concatenations of length level if it is
+    set; returns (lengths, block length).
+
+    A repeated block adds nothing to the limit set; kept, it can put a root
+    exactly on a bisection midpoint (["1", "1"]: the lower map is 1 at
+    s = 1/2), where no interval enclosure decides the sign."""
+    words = sorted({str(w) for w in words})
     if not words:
         raise EmptyLanguage("moran_bracket needs at least one word")
     m = len(words[0])

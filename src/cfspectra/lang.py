@@ -8,6 +8,7 @@ depth, and Unresolved is a first-class verdict.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -189,15 +190,12 @@ def _iterate_tables(j1, j2, rounds, bits, warm=None):
                       {s: Fraction(*v) for s, v in big.items()})
 
 
-_FREE_TABLES = None
 _tables_cache = {}
 
 
+@functools.lru_cache(maxsize=1)
 def _free_tables():
-    global _FREE_TABLES
-    if _FREE_TABLES is None:
-        _FREE_TABLES = _iterate_tables(0, 0, 120, 128)
-    return _FREE_TABLES
+    return _iterate_tables(0, 0, 120, 128)
 
 
 def tail_tables_for(t, run_cap):
@@ -248,16 +246,10 @@ def tail_tables_for(t, run_cap):
 
 # ------------------------------------------------------- the periodic family
 
-_markov_cache = {}
-
-
+@functools.lru_cache(maxsize=1 << 16)
 def period_markov(period):
     """Cached exact Markov value of the two-sided periodic sequence."""
-    got = _markov_cache.get(period)
-    if got is None:
-        got = markov_value(BiSeq.periodic(period))[0]
-        _markov_cache[period] = got
-    return got
+    return markov_value(BiSeq.periodic(period))[0]
 
 
 def _windows(period, n):
@@ -266,9 +258,7 @@ def _windows(period, n):
         yield reps[off:off + n], off
 
 
-_factor_map_cache = {}
-
-
+@functools.lru_cache(maxsize=8)
 def factor_witness_map(n):
     """word -> (period, offset) for every length-n factor of the periodic
     family, with the shortest (then theta-least) period winning.
@@ -276,8 +266,6 @@ def factor_witness_map(n):
     The family is grown by letter length until two consecutive lengths add no
     new factor (and at least far enough to cover one-block transients).
     """
-    if n in _factor_map_cache:
-        return _factor_map_cache[n]
     wmap = {}
     quiet = 0
     q = 1
@@ -293,7 +281,6 @@ def factor_witness_map(n):
         q += 1
         if q > 6 * n + 16:  # safety stop; cross-oracle tests would catch this
             break
-    _factor_map_cache[n] = wmap
     return wmap
 
 
@@ -377,18 +364,26 @@ def _periodic_witness(period, offset, word, t, value):
     return MembershipCertificate(Word(word), t, "in", seq, SurdSum.from_value(value))
 
 
+def _family_witness(s, t, t_sum):
+    """An "in" certificate from the periodic-family period that
+    factor_witness_map assigns to s, when its Markov value is <= t; else None."""
+    hit = factor_witness_map(len(s)).get(s)
+    if hit is None:
+        return None
+    period, off = hit
+    val = period_markov(period)
+    if (val - t_sum).sign() > 0:
+        return None
+    return _periodic_witness(period, off, s, t, val)
+
+
 # ------------------------------------------------------ position bound kernel
 
 def _min_tail_image(g, parity, lo, hi):
     """min over admissible tail values x of (g00 x + g01)/(g10 x + g11),
-    as an integer pair; parity is the digit count of the word behind g."""
+    as an integer pair; parity is the digit count of the word behind g.
+    The max is the min at the other parity."""
     xn, xd = lo if parity == 0 else hi  # orientation flips with each digit
-    g00, g01, g10, g11 = g
-    return g00 * xn + g01 * xd, g10 * xn + g11 * xd
-
-
-def _max_tail_image(g, parity, lo, hi):
-    xn, xd = hi if parity == 0 else lo
     g00, g01, g10, g11 = g
     return g00 * xn + g01 * xd, g10 * xn + g11 * xd
 
@@ -416,7 +411,7 @@ def _bar_violations(s, spec, tables):
             gy = g11
             for k in range(i + 4, n):
                 gy = mat_mul(gy, (0, 1, 1, int(target[k])))
-            rn, rd = _max_tail_image(gy, (n - i - 4) % 2, flo, fhi)
+            rn, rd = _min_tail_image(gy, 1 - (n - i - 4) % 2, flo, fhi)
             # [0;11X]_min - [0;11Y]_max > t - 3 ?
             num = ln * rd - rn * ld
             den = ld * rd
@@ -453,16 +448,10 @@ def _position_violation(s, spec, tables):
 
 # ------------------------------------------- forbidden-block refutation rule
 
-_alphabet_pairs_cache = {}
-
-
-def _alphabet_digit_pairs(max_digits):
-    """Digit images (A, B) of ordered alphabets with |alpha beta| <= max_digits,
+@functools.lru_cache(maxsize=16)
+def _alphabet_digit_pairs(cap):
+    """Digit images (A, B) of ordered alphabets with |alpha beta| <= cap,
     by increasing size."""
-    cap = (max_digits + 15) // 16 * 16
-    got = _alphabet_pairs_cache.get(cap)
-    if got is not None:
-        return got
     out = []
     stack = [("a", "b")]
     while stack:
@@ -478,7 +467,6 @@ def _alphabet_digit_pairs(max_digits):
         A = "".join("22" if c == "a" else "11" for c in a)
         B = "".join("22" if c == "a" else "11" for c in b)
         pairs.append((A, B))
-    _alphabet_pairs_cache[cap] = pairs
     return pairs
 
 
@@ -510,7 +498,8 @@ def _aabb_factor(s, rmax):
     Any word containing such a factor has Markov value above 3 + e^-r, so
     this is a certified refutation at thresholds t <= 3 + e^-r.
     """
-    for A, B in _alphabet_digit_pairs(len(s)):
+    # the cap is bucketed so that nearby lengths share one cached list
+    for A, B in _alphabet_digit_pairs((len(s) + 15) // 16 * 16):
         if 2 * (len(A) + len(B)) > len(s):
             continue
         AA = A + A
@@ -549,9 +538,17 @@ class MembershipBudget:
 def membership(w, t, budget=None):
     """Certified membership of a finite word in the level-t language.
 
-    In: an eventually periodic witness (periodic closings over the c(A) family
-    are tried first, by increasing period, then self-closings).  Out: a
+    One decision path, in this order, at every word length:
+    In by the periodic family: the word's entry in factor_witness_map (its
+    shortest, then theta-least, family period) when that period's Markov
+    value is <= t.  In by a self-closing: per(w + pad) for the pads
+    "", 1, 2, 12, 21, 11, 22.  Out: the refutation rules on the word, then a
     two-sided branch-and-bound refutation.  Unresolved: budget exhausted.
+
+    The module caches are functools.lru_cache objects with a finite maxsize
+    (period_markov, factor_witness_map, _free_tables,
+    _alphabet_digit_pairs); each has cache_clear().  _tables_cache is a
+    plain dict keyed by threshold.
     """
     s = str(w)
     if not s:
@@ -563,25 +560,9 @@ def membership(w, t, budget=None):
     # bounds the useful ban cap (and keeps the table cache shared)
     tables = tail_tables_for(t, len(s) + 8)
 
-    # periodic family witnesses: the factor map is ordered by increasing period
-    if len(s) <= 120:
-        hit = factor_witness_map(len(s)).get(s)
-        if hit is not None:
-            period, off = hit
-            val = period_markov(period)
-            if (val - t_sum).sign() <= 0:
-                return _periodic_witness(period, off, s, t, val)
-    else:
-        for q in range(1, len(s) // 2 + 5):
-            for period in _periods_with_letters(q):
-                for win, off in _windows(period, len(s)):
-                    if win == s:
-                        val = period_markov(period)
-                        if (val - t_sum).sign() <= 0:
-                            return _periodic_witness(period, off, s, t, val)
-                        break
-
-    # self-closings
+    cert = _family_witness(s, t, t_sum)
+    if cert is not None:
+        return cert
     for pad in ("", "1", "2", "12", "21", "11", "22"):
         period = s + pad
         val = period_markov(period)
@@ -681,18 +662,9 @@ def sigma_enumerate(t, n, budget=None):
         raise DomainError("n must be >= 1")
     tval = parse_threshold(t) if isinstance(t, str) else t
     spec = _threshold_spec(tval)
-    t_sum = SurdSum.from_value(tval)
     survivors = _enumerate_survivors(spec, n, tail_tables_for(tval, n))
-    wmap = factor_witness_map(n)
     words, unresolved = {}, {}
     for w in survivors:
-        hit = wmap.get(w)
-        if hit is not None:
-            period, off = hit
-            val = period_markov(period)
-            if (val - t_sum).sign() <= 0:
-                words[w] = _periodic_witness(period, off, w, tval, val)
-                continue
         cert = membership(Word(w), tval, budget)
         if cert.verdict == "in":
             words[w] = cert
@@ -707,12 +679,12 @@ def sigma3_factors(n):
     if n < 1:
         raise DomainError("n must be >= 1")
     three = Fraction(3)
-    wmap = factor_witness_map(n)
+    t_sum = SurdSum.from_value(three)
     words = {}
-    for w, (period, off) in wmap.items():
-        val = period_markov(period)
-        if (val - SurdSum.from_value(three)).sign() <= 0:
-            words[w] = _periodic_witness(period, off, w, three, val)
+    for w in factor_witness_map(n):
+        cert = _family_witness(w, three, t_sum)
+        if cert is not None:
+            words[w] = cert
     return LanguageSet(n, three, words, {})
 
 

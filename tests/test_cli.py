@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,9 +8,16 @@ import pytest
 from cfspectra import cli
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args):
+    """Run the CLI in a child process that imports this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "cfspectra.cli", *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -87,6 +95,8 @@ def test_dim_and_asym():
     obj = json.loads(out)
     assert code == 0 and obj["lower"] < 0.5313 < obj["upper"]
     assert "elapsed" not in obj  # deterministic output by default
+    code, out, _ = run_cli("dim", "--blocks", "1,1")  # repeated block
+    assert code == 0 and "over 1 cylinders" in out
     code, out, _ = run_cli("bound", "--rho", "e^-100", "--C", "0")
     assert code == 0 and "0.030779" in out
 

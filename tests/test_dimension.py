@@ -19,6 +19,14 @@ def test_single_block_degenerate():
     assert b.lower == 0.0 and b.upper == 1.0
 
 
+def test_repeated_blocks_are_dropped():
+    # with both copies kept, ["1", "1"] has a lower map of exactly 1 at the
+    # first bisection midpoint s = 1/2, which no interval enclosure decides
+    assert moran_bracket(["1", "1"], level=4) == moran_bracket(["1"], level=4)
+    assert moran_bracket(["1", "1"]) == moran_bracket(["1"])
+    assert moran_bracket(["2", "1", "2"], level=4) == moran_bracket(["1", "2"], level=4)
+
+
 def test_full_language_brackets_nested():
     b4 = moran_bracket(["1", "2"], level=4)
     b8 = moran_bracket(["1", "2"], level=8)

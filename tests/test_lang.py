@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfspectra import lang
 from cfspectra.alphabets import alphabet_from_pair
 from cfspectra.biseq import BiSeq, markov_value
 from cfspectra.lang import (MembershipBudget, connecting_sequence, membership,
@@ -98,6 +99,38 @@ def test_unresolved_is_a_value():
     budget = MembershipBudget(max_refute_depth=0, max_frontier=2)
     cert = membership(Word(slide), Fraction(3) + Fraction(1, 6 ** 204), budget)
     assert cert.verdict in ("out", "unresolved")
+
+
+def test_sigma_rows_are_membership_rows():
+    # sigma_enumerate decides every survivor through membership
+    for t in (Fraction(3), Fraction(3) + Fraction(1, 6 ** 6)):
+        ls = sigma_enumerate(t, 12)
+        certs = list(ls.words.values()) + list(ls.unresolved.values())
+        assert certs
+        for cert in certs:
+            assert cert.row() == membership(cert.word, t).row()
+
+
+def test_membership_long_words():
+    # rows pinned from the period scan that once served words over 120 digits
+    t = Fraction(3) + Fraction(1, 6 ** 204)
+    w = ("2222112211" * 14)[3:133]
+    mutant = w[:61] + "2" + w[62:]
+    assert len(w) == 130 and w[61] == "1"
+    assert membership(Word(w), t).row() == (w, "in", "per(2112211222)", "")
+    assert membership(Word(mutant), t).row() == (mutant, "out", "", "0")
+
+
+def test_lang_caches_bounded_and_clearable():
+    t = Fraction(3) + Fraction(1, 6 ** 6)
+    warm = sigma_enumerate(t, 12).to_json()
+    for cache in (lang.period_markov, lang.factor_witness_map,
+                  lang._free_tables, lang._alphabet_digit_pairs):
+        assert cache.cache_info().maxsize is not None
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
+    lang._tables_cache.clear()
+    assert sigma_enumerate(t, 12).to_json() == warm
 
 
 def test_connecting_sequences():
