@@ -14,7 +14,7 @@ from .errors import (BudgetExceeded, DomainError, EmptyLanguage,
                      NoValidExtension, NotRenormalizable, PreconditionUnverified,
                      SpectraError, TemplateMismatch)
 from .lang import (LanguageSet, MembershipBudget, MembershipCertificate,
-                   connecting_sequence, membership, parse_threshold,
+                   Threshold, connecting_sequence, membership, parse_threshold,
                    sigma3_factors, sigma_enumerate)
 from .renorm import (WeakRenormalization, decompose_over, find_alphabet,
                      renorm_step, semi_renormalize, trivial_renormalization)

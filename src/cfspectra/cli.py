@@ -26,8 +26,7 @@ from .biseq import BiSeq, lambda_at, markov_value
 from .cf import cylinder, r_exponent
 from .cuts import Cut, classify_cut, push_cut
 from .dimension import d_asymptotic, moran_bracket, thm2_bound
-from .lang import (MembershipBudget, connecting_sequence, parse_threshold,
-                   sigma_enumerate)
+from .lang import MembershipBudget, connecting_sequence, sigma_enumerate
 from .renorm import find_alphabet
 from .surd import SurdSum
 from .words import Word
@@ -165,9 +164,8 @@ def cmd_renorm(args, cfg):
 
 
 def cmd_sigma(args, cfg):
-    t = parse_threshold(args.t)
     budget = MembershipBudget(max_refute_depth=cfg.enum_budget)
-    ls = sigma_enumerate(t, args.n, budget)
+    ls = sigma_enumerate(args.t, args.n, budget)
     if cfg.verify:
         for w in ls.sorted_words():
             if not ls.words[w].verify():

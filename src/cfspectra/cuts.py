@@ -240,20 +240,19 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
     from .biseq import markov_value  # local import to avoid cycles at module load
     y = "1" if x == "2" else "2"
     pattern = x + o[::-1] + "11" + o + y
-    t_sum = SurdSum.from_value(t)
     if witness is not None:
         probe = witness.segment(-8 * len(pattern) - 8, 8 * len(pattern) + 8)
         if pattern not in probe:
             raise PreconditionUnverified("witness does not exhibit the base cut")
         mv, _, _ = markov_value(witness)
-        if not mv <= t_sum:
+        if not mv <= t:
             raise PreconditionUnverified("witness Markov value exceeds t")
     else:
         for lp in ("12", "21"):
             for rp in ("12", "21"):
                 cand = BiSeq.make(lp, "", pattern, rp)
                 mv, _, _ = markov_value(cand)
-                if mv <= t_sum:
+                if mv <= t:
                     witness = cand
                     break
             if witness is not None:
@@ -263,7 +262,7 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
                 "no periodic closing of the base cut stays below t")
     base = _cut_sup(o, x)
     ext = _cut_sup(ot, x)
-    ok = (ext - t_sum).sign() < 0
+    ok = (ext - t).sign() < 0
     return CompareVerdict(ok, base, ext, t)
 
 

@@ -221,7 +221,6 @@ def certify_blocks(blocks, t):
     m = len(blocks[0])
     if m == 0 or any(len(b) != m for b in blocks):
         raise DomainError("blocks must be nonempty and of equal length")
-    t_sum = SurdSum.from_value(t)
     sup_f, inf_f = _tail_extremes(blocks)
     rev_blocks = [b[::-1] for b in blocks]
     sup_b, inf_b = _tail_extremes(rev_blocks)
@@ -240,7 +239,7 @@ def certify_blocks(blocks, t):
             y = sup_b if len(head) % 2 == 0 else inf_b
             bwd = apply_moebius(gb, y) if head else y
             lam = SurdSum.from_value(fwd) + bwd + d
-            if (lam - t_sum).sign() > 0:
+            if (lam - t).sign() > 0:
                 return False
     return True
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .alphabets import farey_words, theta_inverse
@@ -24,46 +25,82 @@ from .words import Word
 
 # ---------------------------------------------------------------- thresholds
 
+_EXPONENTIAL = re.compile(r"(.+)([+-])(\d+)\^-(\d+)")
+
+
 def parse_threshold(text):
-    """Parse 'sqrt(12)', '3+6^-18', or a decimal/rational literal exactly."""
+    """Parse a threshold exactly: 'sqrt(12)', a decimal or rational literal,
+    or H+B^-E / H-B^-E with H such a literal, an integer base B >= 2 and an
+    integer exponent E >= 0.  Anything else raises DomainError."""
     s = str(text).strip().replace(" ", "")
     if s == "sqrt(12)":
         return QuadSurd(0, 2, 1, 3)
-    for sep in ("+", "-"):
-        if sep in s[1:] and "^-" in s:
-            head, _, pad = s.partition(sep)
-            base, _, exp = pad.partition("^-")
-            off = Fraction(1, int(base) ** int(exp))
-            return Fraction(head) + (off if sep == "+" else -off)
-    return Fraction(s)
+    m = _EXPONENTIAL.fullmatch(s)
+    try:
+        if m is None and "^" not in s:
+            return Fraction(s)
+        if m is not None and int(m[3]) >= 2:
+            off = Fraction(1, int(m[3]) ** int(m[4]))
+            return Fraction(m[1]) + (off if m[2] == "+" else -off)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise DomainError("cannot parse threshold %r" % str(text))
 
 
-def _threshold_spec(t):
-    """Kernel form of a threshold: ('rat', num, den) or ('s12',) for sqrt(12)."""
-    if isinstance(t, QuadSurd):
-        if t.q == 0:
-            f = t.as_fraction()
-            return ("rat", f.numerator, f.denominator)
-        if t.d == 3 and t.p == 0 and t.q == 2 and t.r == 1:
-            return ("s12",)
-        raise DomainError("enumeration thresholds must be rational or sqrt(12)")
-    f = Fraction(t)
-    return ("rat", f.numerator, f.denominator)
+@dataclass(frozen=True)
+class Threshold:
+    """A language threshold t, rational or sqrt(12), with what the decisions
+    at t read off it, built once by Threshold.of.
+
+    Kernel form: t = num/den, or t*t = num/den when root is set; thresholds
+    compare and hash by it.  value is t as given or parsed (it is printed).
+    """
+    value: object = field(compare=False)
+    sum: SurdSum = field(compare=False)
+    num: int
+    den: int
+    root: bool
+    excess: Fraction | None = field(compare=False)  # t - 3, for rational t
+    rmax: int | None = field(compare=False)  # block-rule cap, see _aabb_factor
+
+    @staticmethod
+    def of(x):
+        """The Threshold of text (see parse_threshold), an int, a Fraction or
+        a QuadSurd that is rational or sqrt(12); a Threshold is returned as
+        is.  Anything else raises DomainError."""
+        if not isinstance(x, (Threshold, str, int, Fraction, QuadSurd)):
+            raise DomainError("not a threshold: %r" % (x,))
+        return x if isinstance(x, Threshold) else _threshold(x)
+
+    def gt(self, num, den):
+        """num/den > t, exactly (den > 0)."""
+        if self.root:
+            return num > 0 and num * num * self.den > self.num * den * den
+        return num * self.den > self.num * den
+
+    def plus_le(self, num, den, h):
+        """num/den + 1/h <= t, exactly (den, h > 0)."""
+        a, b = num * h + den, den * h
+        if self.root:
+            return a <= 0 or a * a * self.den <= self.num * b * b
+        return a * self.den <= self.num * b
 
 
-def _value_gt(num, den, spec):
-    """num/den > threshold, exactly (den > 0)."""
-    if spec[0] == "rat":
-        return num * spec[2] > spec[1] * den
-    return num > 0 and num * num > 12 * den * den
-
-
-def _value_plus_le(num, den, h, spec):
-    """num/den + 1/h <= threshold, exactly (den, h > 0)."""
-    a, b = num * h + den, den * h
-    if spec[0] == "rat":
-        return a * spec[2] <= spec[1] * b
-    return a <= 0 or a * a <= 12 * b * b
+@functools.lru_cache(maxsize=64, typed=True)
+def _threshold(x):
+    value = parse_threshold(x) if isinstance(x, str) else x
+    if isinstance(value, QuadSurd) and value.q:
+        if (value.p, value.q, value.r, value.d) != (0, 2, 1, 3):
+            raise DomainError("enumeration thresholds must be rational or sqrt(12)")
+        # sqrt(12) - 3 > e^-1: only r = 0 block factors could qualify
+        return Threshold(value, SurdSum.from_value(value), 12, 1, True, None, 0)
+    f = value.as_fraction() if isinstance(value, QuadSurd) else Fraction(value)
+    excess = f - 3
+    # the block rule refutes above 3 + e^-r, so rmax is the largest r with
+    # e^-r >= t - 3: None (no cap) for t <= 3, -1 (no block applies) for t >= 4
+    rmax = None if excess <= 0 else -1 if excess >= 1 else floor_log(1 / excess)
+    return Threshold(value, SurdSum.from_value(value), f.numerator,
+                     f.denominator, False, excess, rmax)
 
 
 # --------------------------------------------- admissible-tail value bounds
@@ -115,11 +152,7 @@ class TailTables:
 
     @staticmethod
     def end_run(s):
-        d = s[-1]
-        r = 1
-        while r < len(s) and s[-1 - r] == d:
-            r += 1
-        return d, r, r < len(s)
+        return TailTables.start_run(s[::-1])
 
     def has_banned_run(self, s):
         """Scan a digit string for interior odd runs of banned length."""
@@ -190,9 +223,6 @@ def _iterate_tables(j1, j2, rounds, bits, warm=None):
                       {s: Fraction(*v) for s, v in big.items()})
 
 
-_tables_cache = {}
-
-
 @functools.lru_cache(maxsize=1)
 def _free_tables():
     return _iterate_tables(0, 0, 120, 128)
@@ -205,43 +235,34 @@ def tail_tables_for(t, run_cap):
     The 1-run and 2-run ban lengths are bootstrapped: runs of length 1
     (the 121/212 exclusion) hold for t <= 3.06; each longer pattern
     2 1^(j+2) 2 or 1 2^(j+2) 1 is admitted only after a position-bound
-    refutation using the tables certified so far.
+    refutation using the tables certified so far.  The cap is bucketed, and
+    the tables depend only on t and the bucket.
     """
-    spec = _threshold_spec(t)
-    if spec[0] == "s12" or 100 * spec[1] > 306 * spec[2]:
+    return _certified_tables(Threshold.of(t), (max(1, run_cap) + 15) // 16 * 16 + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _certified_tables(th, run_cap):
+    if th.sum > Fraction(306, 100):
         return _free_tables()
-    run_cap = (max(1, run_cap) + 15) // 16 * 16 + 1  # bucketed for cache reuse
-    got = _tables_cache.get(spec)
-    if got is not None and got[0] >= run_cap:
-        return got[1]
     j1 = j2 = 1
     tables = _iterate_tables(1, 1, 80, 160)
     stall1 = stall2 = False
     while not (stall1 and stall2):
-        grew = False
+        before = (j1, j2)
         if not stall1:
-            if j1 + 2 > run_cap:
-                stall1 = True
-            elif _position_violation("2" + "1" * (j1 + 2) + "2", spec, tables):
-                j1 += 2
-                grew = True
-            else:
-                stall1 = True
+            stall1 = (j1 + 2 > run_cap or
+                      not _position_violation("2" + "1" * (j1 + 2) + "2", th, tables))
+            j1 += 0 if stall1 else 2
         if not stall2:
-            if j2 + 2 > run_cap:
-                stall2 = True
-            elif _position_violation("1" + "2" * (j2 + 2) + "1", spec, tables):
-                j2 += 2
-                grew = True
-            else:
-                stall2 = True
-        if grew:
+            stall2 = (j2 + 2 > run_cap or
+                      not _position_violation("1" + "2" * (j2 + 2) + "1", th, tables))
+            j2 += 0 if stall2 else 2
+        if (j1, j2) != before:
             jmax = max(j1, j2)
             tables = _iterate_tables(j1, j2, 24 + jmax, 160 + 4 * jmax, warm=tables)
     jmax = max(j1, j2)
-    tables = _iterate_tables(j1, j2, 200 + 2 * jmax, 200 + 4 * jmax, warm=tables)
-    _tables_cache[spec] = (run_cap, tables)
-    return tables
+    return _iterate_tables(j1, j2, 200 + 2 * jmax, 200 + 4 * jmax, warm=tables)
 
 
 # ------------------------------------------------------- the periodic family
@@ -312,7 +333,7 @@ class MembershipCertificate:
         if self.witness.segment(0, len(self.word)) != str(self.word):
             return False
         mv, _, _ = markov_value(self.witness)
-        return (mv - SurdSum.from_value(self.threshold)).sign() <= 0
+        return (mv - self.threshold).sign() <= 0  # any exact threshold
 
     def row(self):
         wit = ""
@@ -358,13 +379,12 @@ class LanguageSet:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
-def _periodic_witness(period, offset, word, t, value):
-    rot = period[offset:] + period[:offset]
-    seq = BiSeq.periodic(rot)
-    return MembershipCertificate(Word(word), t, "in", seq, SurdSum.from_value(value))
+def _periodic_witness(period, offset, word, th, value):
+    seq = BiSeq.periodic(period[offset:] + period[:offset])
+    return MembershipCertificate(Word(word), th.value, "in", seq, value)
 
 
-def _family_witness(s, t, t_sum):
+def _family_witness(s, th):
     """An "in" certificate from the periodic-family period that
     factor_witness_map assigns to s, when its Markov value is <= t; else None."""
     hit = factor_witness_map(len(s)).get(s)
@@ -372,9 +392,9 @@ def _family_witness(s, t, t_sum):
         return None
     period, off = hit
     val = period_markov(period)
-    if (val - t_sum).sign() > 0:
+    if (val - th.sum).sign() > 0:
         return None
-    return _periodic_witness(period, off, s, t, val)
+    return _periodic_witness(period, off, s, th, val)
 
 
 # ------------------------------------------------------ position bound kernel
@@ -388,19 +408,18 @@ def _min_tail_image(g, parity, lo, hi):
     return g00 * xn + g01 * xd, g10 * xn + g11 * xd
 
 
-def _bar_violations(s, spec, tables):
+def _bar_violations(s, th, tables):
     """Coupled bound at 11|22 bars: at such a bar, lambda = 3 + [0;1,1,X...]
     - [0;1,1,Y...] exactly (X read leftward past the 11, Y rightward past the
     22), so the bar exceeds t in every admissible completion as soon as
     min[0;11X] - max[0;11Y] > t - 3.  Checks s and its reversal."""
-    if spec[0] != "rat":
+    t_excess = th.excess
+    if t_excess is None:
         return False
-    t_excess = Fraction(spec[1], spec[2]) - 3
     g11 = mat_mul((0, 1, 1, 1), (0, 1, 1, 1))
     for target in (s, s[::-1]):
         n = len(target)
-        d0, r0, b0 = TailTables.start_run(target)
-        blo, bhi = tables.bounds(d0, r0, b0)
+        blo, bhi = tables.bounds(*TailTables.start_run(target))
         flo, fhi = tables.bounds(*TailTables.end_run(target))
         i = target.find("1122")
         while i >= 0:
@@ -421,7 +440,7 @@ def _bar_violations(s, spec, tables):
     return False
 
 
-def _position_violation(s, spec, tables):
+def _position_violation(s, th, tables):
     """True when some position of the digit string s has every admissible
     bi-infinite completion exceed the threshold there."""
     if tables.has_banned_run(s):
@@ -432,18 +451,17 @@ def _position_violation(s, spec, tables):
     for i in range(n - 1, -1, -1):
         suffix[i] = mat_mul((0, 1, 1, int(s[i])), suffix[i + 1])
     flo, fhi = tables.bounds(*TailTables.end_run(s))
-    d0, r0, b0 = TailTables.start_run(s)
-    blo, bhi = tables.bounds(d0, r0, b0)
+    blo, bhi = tables.bounds(*TailTables.start_run(s))
     rev = IDENTITY
     for i in range(n):
         fn, fd = _min_tail_image(suffix[i + 1], (n - 1 - i) % 2, flo, fhi)
         bn, bd = _min_tail_image(rev, i % 2, blo, bhi)
         num = (fn * bd + bn * fd) + int(s[i]) * fd * bd
         den = fd * bd
-        if _value_gt(num, den, spec):
+        if th.gt(num, den):
             return True
         rev = mat_mul((0, 1, 1, int(s[i])), rev)
-    return _bar_violations(s, spec, tables)
+    return _bar_violations(s, th, tables)
 
 
 # ------------------------------------------- forbidden-block refutation rule
@@ -515,20 +533,6 @@ def _aabb_factor(s, rmax):
     return None
 
 
-def _aabb_rmax(spec):
-    """Largest r with e^-r >= t - 3, or None for t <= 3, or -1 when the
-    block rule cannot apply (t >= 4)."""
-    if spec[0] == "s12":
-        return 0  # sqrt(12) - 3 > e^-1, only r = 0 factors could qualify
-    tn, td = spec[1], spec[2]
-    if tn <= 3 * td:
-        return None
-    num, den = td, tn - 3 * td  # 1/(t-3)
-    if num <= den:
-        return -1
-    return floor_log(Fraction(num, den))
-
-
 @dataclass
 class MembershipBudget:
     max_refute_depth: int = 28
@@ -545,37 +549,36 @@ def membership(w, t, budget=None):
     "", 1, 2, 12, 21, 11, 22.  Out: the refutation rules on the word, then a
     two-sided branch-and-bound refutation.  Unresolved: budget exhausted.
 
-    The module caches are functools.lru_cache objects with a finite maxsize
-    (period_markov, factor_witness_map, _free_tables,
-    _alphabet_digit_pairs); each has cache_clear().  _tables_cache is a
-    plain dict keyed by threshold.
+    t is anything Threshold.of accepts.  The module caches are
+    functools.lru_cache objects with a finite maxsize, each with
+    cache_clear(); the tail tables are cached by threshold and bucketed cap.
     """
     s = str(w)
     if not s:
         raise DomainError("membership of the empty word")
     budget = budget or MembershipBudget()
-    t_sum = SurdSum.from_value(t)
-    spec = _threshold_spec(t)
+    th = Threshold.of(t)
     # runs longer than the word never gate a context, so the word length
     # bounds the useful ban cap (and keeps the table cache shared)
-    tables = tail_tables_for(t, len(s) + 8)
+    tables = tail_tables_for(th, len(s) + 8)
 
-    cert = _family_witness(s, t, t_sum)
+    cert = _family_witness(s, th)
     if cert is not None:
         return cert
     for pad in ("", "1", "2", "12", "21", "11", "22"):
         period = s + pad
         val = period_markov(period)
-        if (val - t_sum).sign() <= 0:
-            return _periodic_witness(period, 0, s, t, val)
+        if (val - th.sum).sign() <= 0:
+            return _periodic_witness(period, 0, s, th, val)
 
     # certified refutation rules, then the two-sided search; each context is
     # screened by the position bounds, the coupled bar bound, and the
     # forbidden-block scanner
-    rmax = _aabb_rmax(spec)
+    rmax = th.rmax
+    t = th.value
 
     def refuted(ctx):
-        if _position_violation(ctx, spec, tables):
+        if _position_violation(ctx, th, tables):
             return True
         return rmax != -1 and _aabb_factor(ctx, rmax) is not None
 
@@ -604,7 +607,7 @@ def membership(w, t, budget=None):
 
 # ------------------------------------------------------------- enumeration
 
-def _enumerate_survivors(spec, n, tables):
+def _enumerate_survivors(th, n, tables):
     """Prefix-tree branch and bound over {1,2}^n.
 
     A prefix dies when it closes a banned interior odd run or when some
@@ -613,6 +616,7 @@ def _enumerate_survivors(spec, n, tables):
     can never reach t again.
     """
     out = []
+    gt, plus_le = th.gt, th.plus_le
     # frame: (depth, prefix, reversed-prefix matrix, active positions)
     # active entry: (birth index, base num, base den, forward matrix)
     stack = [(0, "", IDENTITY, [])]
@@ -632,8 +636,7 @@ def _enumerate_survivors(spec, n, tables):
                 run = (1, False)
             new_prefix = prefix + d
             flo, fhi = tables.bounds(d, run[0], run[1])
-            d0, r0, b0 = TailTables.start_run(new_prefix)
-            blo, bhi = tables.bounds(d0, r0, b0)
+            blo, bhi = tables.bounds(*TailTables.start_run(new_prefix))
             bn, bd = _min_tail_image(rev, depth % 2, blo, bhi)
             base_n, base_d = bn + int(d) * bd, bd
             gd = (0, 1, 1, int(d))
@@ -644,11 +647,11 @@ def _enumerate_survivors(spec, n, tables):
                 fn, fd = _min_tail_image(g2, (depth - i) % 2, flo, fhi)
                 num = ibn * fd + fn * ibd
                 den = ibd * fd
-                if _value_gt(num, den, spec):
+                if gt(num, den):
                     ok = False
                     break
                 h = g2[3] * (g2[2] + g2[3])
-                if _value_plus_le(num, den, h, spec):
+                if plus_le(num, den, h):
                     continue  # retired: bound + diameter stays below t
                 fresh.append((i, ibn, ibd, g2))
             if ok:
@@ -660,17 +663,16 @@ def sigma_enumerate(t, n, budget=None):
     """The level-t language at length n, with per-word certificates."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    tval = parse_threshold(t) if isinstance(t, str) else t
-    spec = _threshold_spec(tval)
-    survivors = _enumerate_survivors(spec, n, tail_tables_for(tval, n))
+    th = Threshold.of(t)
+    survivors = _enumerate_survivors(th, n, tail_tables_for(th, n))
     words, unresolved = {}, {}
     for w in survivors:
-        cert = membership(Word(w), tval, budget)
+        cert = membership(Word(w), th, budget)
         if cert.verdict == "in":
             words[w] = cert
         elif cert.verdict == "unresolved":
             unresolved[w] = cert
-    return LanguageSet(n, tval, words, unresolved)
+    return LanguageSet(n, th.value, words, unresolved)
 
 
 def sigma3_factors(n):
@@ -678,14 +680,13 @@ def sigma3_factors(n):
     generator for the t = 3 language."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    three = Fraction(3)
-    t_sum = SurdSum.from_value(three)
+    three = Threshold.of(Fraction(3))
     words = {}
     for w in factor_witness_map(n):
-        cert = _family_witness(w, three, t_sum)
+        cert = _family_witness(w, three)
         if cert is not None:
             words[w] = cert
-    return LanguageSet(n, three, words, {})
+    return LanguageSet(n, three.value, words, {})
 
 
 # ------------------------------------------------------ connecting sequences

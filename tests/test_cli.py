@@ -55,6 +55,13 @@ def test_exit_codes():
     assert code == 0
 
 
+@pytest.mark.parametrize("text", ["3+0^-1", "3+6^--2", "2^-3"])
+def test_malformed_threshold_is_one_error_line(text):
+    code, out, err = run_cli("sigma", "--t", text, "--n", "3")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: cannot parse threshold %r" % text]
+
+
 @pytest.mark.parametrize("flag", [("--workers", "2"), ("--seed", "1"),
                                   ("--precision-budget", "64")])
 def test_unknown_common_flags_are_usage_errors(flag):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cfspectra import dimension, lang
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
 from cfspectra.cf import iv_prec
-from cfspectra.surd import refine
+from cfspectra.surd import QuadSurd, SurdSum, refine
 
 
 def _iterate_tables_reference(j1, j2, rounds, bits, warm=None):
@@ -68,13 +68,54 @@ def test_warm_started_tables_match_fraction_recurrence():
 
 def test_certified_tables_match_fraction_recurrence(monkeypatch):
     t = lang.parse_threshold("3+6^-6")
-    monkeypatch.setattr(lang, "_tables_cache", {})
+    lang._certified_tables.cache_clear()
     got = lang.tail_tables_for(t, 20)
-    monkeypatch.setattr(lang, "_tables_cache", {})
+    lang._certified_tables.cache_clear()
     monkeypatch.setattr(lang, "_iterate_tables", _iterate_tables_reference)
     want = lang.tail_tables_for(t, 20)
+    lang._certified_tables.cache_clear()  # drop the reference-built tables
     assert got.j1 > 1 or got.j2 > 1  # the bootstrap admitted a longer ban
     _same_tables(got, want)
+
+
+SQRT12 = QuadSurd(0, 2, 1, 3)
+_thresholds = st.one_of(
+    st.builds(lambda k, sign: 3 + sign * Fraction(1, 6 ** k),
+              st.integers(0, 204), st.sampled_from([1, -1])),
+    st.just(Fraction(306, 100)), st.just(SQRT12))
+
+
+def _floor_below(t, den, h):
+    """floor((t - 1/h) * den), or floor(t * den) for h = 0."""
+    k = max(h, 1)
+    if t == SQRT12:
+        top = math.isqrt(12 * (den * k) ** 2)
+    else:
+        top = t.numerator * den * k // t.denominator
+    return (top - (den if h else 0)) // k
+
+
+def _sign(x, t):
+    return (SurdSum.from_value(x) - SurdSum.from_value(t)).sign()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_thresholds, st.integers(1, 1 << 700), st.integers(1, 1 << 700),
+       st.integers(-2, 2), st.booleans())
+def test_threshold_kernel_comparisons_are_exact(t, den, h, off, tie):
+    """gt and plus_le against exact SurdSum comparison, next to t and at
+    exact ties (a rational t then gives num/den = t and num/den + 1/h = t
+    when off = 0)."""
+    th = lang.Threshold.of(t)
+    if tie and isinstance(t, Fraction):
+        den *= t.denominator * h
+    num = _floor_below(t, den, 0) + off
+    assert th.gt(num, den) == (_sign(Fraction(num, den), t) > 0)
+    num = _floor_below(t, den, h) + off
+    assert th.plus_le(num, den, h) == (_sign(Fraction(num, den) + Fraction(1, h), t) <= 0)
+    if tie and isinstance(t, Fraction) and off == 0:
+        assert not th.gt(t.numerator * den // t.denominator, den)
+        assert th.plus_le(num, den, h) and Fraction(num, den) + Fraction(1, h) == t
 
 
 @settings(max_examples=60, deadline=None)

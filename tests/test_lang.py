@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,12 @@ import pytest
 from cfspectra import lang
 from cfspectra.alphabets import alphabet_from_pair
 from cfspectra.biseq import BiSeq, markov_value
-from cfspectra.lang import (MembershipBudget, connecting_sequence, membership,
-                            parse_threshold, sigma3_factors, sigma_enumerate)
-from cfspectra.surd import QuadSurd
+from cfspectra.dimension import d_upper
+from cfspectra.errors import DomainError
+from cfspectra.lang import (MembershipBudget, Threshold, connecting_sequence,
+                            membership, parse_threshold, sigma3_factors,
+                            sigma_enumerate)
+from cfspectra.surd import QuadSurd, SurdSum
 from cfspectra.words import Word
 
 
@@ -19,6 +23,33 @@ def test_parse_threshold():
     assert parse_threshold("3+6^-18") == Fraction(3) + Fraction(1, 6 ** 18)
     s = parse_threshold("sqrt(12)")
     assert isinstance(s, QuadSurd) and s * s == 12
+    assert parse_threshold("3-6^-2") == Fraction(107, 36)
+    assert parse_threshold("-3+6^-0") == Fraction(-2)
+
+
+@pytest.mark.parametrize("text", ["3+0^-1", "3+6^--2", "2^-3", "3+1^-4", "3+6^2",
+                                  "x", "1/0"])
+def test_parse_threshold_rejects_malformed_text(text):
+    with pytest.raises(DomainError, match=re.escape(repr(text))):
+        parse_threshold(text)
+
+
+def test_entry_points_agree_on_threshold_forms():
+    text = "3+6^-6"
+    forms = (text, parse_threshold(text), Threshold.of(text))
+    assert Threshold.of(forms[1]) == forms[2] and Threshold.of(forms[2]) is forms[2]
+    assert hash(Threshold.of(forms[1])) == hash(forms[2])
+    words = ("2211", "121", "22112222", "11222211", "1122112211")
+    rows = [[membership(Word(w), t).row() for w in words] for t in forms]
+    assert rows[0] == rows[1] == rows[2]
+    langs = [sigma_enumerate(t, 10) for t in forms]
+    assert langs[0].to_json() == langs[1].to_json() == langs[2].to_json()
+    assert len({d_upper(t, 8) for t in forms}) == 1
+    with pytest.raises(DomainError):
+        membership(Word("2211"), QuadSurd(0, 1, 1, 11))
+    for value in (2.5, SurdSum.from_value(3)):  # inexact, or not a threshold type
+        with pytest.raises(DomainError):
+            sigma_enumerate(value, 3)
 
 
 def test_membership_examples():
@@ -28,6 +59,8 @@ def test_membership_examples():
     assert str(cert.witness.right_period) == "2211"  # minimal period witness
     assert cert.value == QuadSurd(0, 1, 5, 221)
     assert cert.verify()
+    # verify takes any exact threshold, here the witness's own Markov value
+    assert lang.MembershipCertificate(cert.word, cert.value, "in", cert.witness).verify()
     # the aa bb block is refuted even slightly above 3
     from cfspectra.cf import r_exponent
     w = Word("22221111")
@@ -124,13 +157,27 @@ def test_membership_long_words():
 def test_lang_caches_bounded_and_clearable():
     t = Fraction(3) + Fraction(1, 6 ** 6)
     warm = sigma_enumerate(t, 12).to_json()
-    for cache in (lang.period_markov, lang.factor_witness_map,
-                  lang._free_tables, lang._alphabet_digit_pairs):
+    module_vars = {k: v for k, v in vars(lang).items() if not k.startswith("__")}
+    caches = [v for v in module_vars.values() if hasattr(v, "cache_info")]
+    assert len(caches) >= 6
+    for cache in caches:
         assert cache.cache_info().maxsize is not None
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
-    lang._tables_cache.clear()
+    assert not [k for k, v in module_vars.items() if isinstance(v, dict)]
     assert sigma_enumerate(t, 12).to_json() == warm
+
+
+def test_tables_do_not_depend_on_earlier_calls():
+    # a larger cap built first must not leak into a smaller cap's tables
+    t = Fraction(3) + Fraction(1, 6 ** 204)
+    lang._certified_tables.cache_clear()
+    fresh = lang.tail_tables_for(t, 20)
+    lang._certified_tables.cache_clear()
+    lang.tail_tables_for(t, 40)
+    again = lang.tail_tables_for(t, 20)
+    assert (again.j1, again.j2, again._m, again._big) == (fresh.j1, fresh.j2,
+                                                          fresh._m, fresh._big)
 
 
 def test_connecting_sequences():
