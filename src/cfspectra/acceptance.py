@@ -1,14 +1,13 @@
 """The acceptance suite: one checkable criterion per function.
 
-Each criterion returns a Result; run_suite prints one PASS/FAIL line per
-criterion.  Criterion 3 runs a sampled two-sided gate by default and the full
-length-68 verification with full=True (or SPECTRA_ACCEPT_FULL=1).
+Each criterion returns a Result, and Result.line() is its PASS/FAIL line;
+run_suite runs them all.  Criterion 3 runs a sampled two-sided gate by default
+and the full length-68 verification with full=True.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -34,6 +33,14 @@ class Result:
     ok: bool
     detail: str
     seconds: float
+
+    @property
+    def status(self):
+        return "PASS" if self.ok else "FAIL"
+
+    def line(self):
+        return "criterion %s: %s - %s (%.1fs)" % (self.name, self.status,
+                                                  self.detail, self.seconds)
 
 
 def _result(name, fn):
@@ -357,29 +364,12 @@ _CRITERIA = [
 ]
 
 
-def run_suite(full=None, names=None):
+def run_suite(full=False):
     """Run the acceptance criteria; returns the list of Results."""
-    if full is None:
-        full = os.environ.get("SPECTRA_ACCEPT_FULL", "") == "1"
     results = []
     for name, fn in _CRITERIA:
-        if names and name not in names:
-            continue
         runner = (lambda f=fn: f(full=True)) if (name == "3" and full) \
             else (lambda f=fn: f())
         results.append(_result(name, runner))
     return results
 
-
-def main():  # pragma: no cover - thin wrapper
-    results = run_suite()
-    ok = True
-    for r in results:
-        print("criterion %s: %s - %s (%.1fs)"
-              % (r.name, "PASS" if r.ok else "FAIL", r.detail, r.seconds))
-        ok = ok and r.ok
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -170,13 +170,8 @@ def cmd_sigma(args, cfg):
         for w in ls.sorted_words():
             if not ls.words[w].verify():
                 raise errors.SpectraError("certificate failed for %s" % w)
-    rows = [["word", "verdict", "witness-period", "refutation-depth"]]
-    for w in ls.sorted_words():
-        rows.append(list(ls.words[w].row()))
-    for w in sorted(ls.unresolved):
-        rows.append(list(ls.unresolved[w].row()))
     payload = dict(ls.to_json_obj())
-    payload["rows"] = rows
+    payload["rows"] = ls.rows()
     lines = ["%d words in Sigma(%s, %d)" % (len(ls.words), args.t, args.n)]
     lines += ["  " + w for w in ls.sorted_words()]
     if ls.unresolved:
@@ -227,11 +222,15 @@ def cmd_connect(args, cfg):
 
 
 def cmd_dim(args, cfg):
-    if args.blocks:
+    if args.blocks is not None:
         words = [w.strip() for w in args.blocks.split(",") if w.strip()]
     else:
-        with open(args.words_file) as fh:
-            words = [line.strip() for line in fh if line.strip()]
+        try:
+            with open(args.words_file) as fh:
+                words = [line.strip() for line in fh if line.strip()]
+        except OSError as e:
+            raise errors.DomainError("cannot read %s: %s" % (args.words_file,
+                                                             e.strerror))
     b = moran_bracket(words, level=args.level)
     payload = {"lower": b.lower, "upper": b.upper, "level": b.level,
                "count": b.word_count}
@@ -269,16 +268,10 @@ def cmd_verify_suite(args, cfg):
     from .acceptance import run_suite
     results = run_suite(full=args.full)
     rows = [["criterion", "status", "detail", "seconds"]]
-    ok = True
-    lines = []
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        ok = ok and r.ok
-        lines.append("criterion %s: %s - %s (%.1fs)" % (r.name, status, r.detail,
-                                                        r.seconds))
-        rows.append([r.name, status, r.detail, "%.1f" % r.seconds])
+    rows += [[r.name, r.status, r.detail, "%.1f" % r.seconds] for r in results]
+    ok = all(r.ok for r in results)
     payload = {"rows": rows, "passed": ok}
-    return (0 if ok else 1), payload, lines
+    return (0 if ok else 1), payload, [r.line() for r in results]
 
 
 def _add_common(p, suppress):
@@ -354,8 +347,9 @@ def build_parser():
     q.set_defaults(fn=cmd_connect)
 
     q = add("dim", help="Moran dimension bracket")
-    q.add_argument("--blocks", default=None, help="comma-separated digit blocks")
-    q.add_argument("--words-file", default=None)
+    blocks = q.add_mutually_exclusive_group(required=True)
+    blocks.add_argument("--blocks", help="comma-separated digit blocks")
+    blocks.add_argument("--words-file", help="one digit block per line")
     q.add_argument("--level", type=int, default=None)
     q.set_defaults(fn=cmd_dim)
 

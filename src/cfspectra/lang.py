@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .alphabets import farey_words, theta_inverse
+from .alphabets import ROOT, children, farey_words, theta_inverse
 from .biseq import BiSeq, markov_value
 from .cf import IDENTITY, floor_log, mat_mul, r_exponent
 from .errors import DomainError
@@ -60,7 +60,6 @@ class Threshold:
     num: int
     den: int
     root: bool
-    excess: Fraction | None = field(compare=False)  # t - 3, for rational t
     rmax: int | None = field(compare=False)  # block-rule cap, see _aabb_factor
 
     @staticmethod
@@ -93,14 +92,14 @@ def _threshold(x):
         if (value.p, value.q, value.r, value.d) != (0, 2, 1, 3):
             raise DomainError("enumeration thresholds must be rational or sqrt(12)")
         # sqrt(12) - 3 > e^-1: only r = 0 block factors could qualify
-        return Threshold(value, SurdSum.from_value(value), 12, 1, True, None, 0)
+        return Threshold(value, SurdSum.from_value(value), 12, 1, True, 0)
     f = value.as_fraction() if isinstance(value, QuadSurd) else Fraction(value)
     excess = f - 3
     # the block rule refutes above 3 + e^-r, so rmax is the largest r with
     # e^-r >= t - 3: None (no cap) for t <= 3, -1 (no block applies) for t >= 4
     rmax = None if excess <= 0 else -1 if excess >= 1 else floor_log(1 / excess)
     return Threshold(value, SurdSum.from_value(value), f.numerator,
-                     f.denominator, False, excess, rmax)
+                     f.denominator, False, rmax)
 
 
 # --------------------------------------------- admissible-tail value bounds
@@ -359,12 +358,14 @@ class LanguageSet:
     def transposition_closed(self):
         return all(w[::-1] in self.words for w in self.words)
 
+    def rows(self):
+        """The header row, then the in-words' rows and the unresolved, each sorted."""
+        return [("word", "verdict", "witness-period", "refutation-depth")] + [
+            (self.words.get(w) or self.unresolved[w]).row()
+            for w in sorted(self.words) + sorted(self.unresolved)]
+
     def to_csv(self):
-        lines = ["word,verdict,witness-period,refutation-depth"]
-        for w in sorted(self.words) + sorted(self.unresolved):
-            cert = self.words.get(w) or self.unresolved[w]
-            lines.append(",".join(cert.row()))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(row) + "\n" for row in self.rows())
 
     def to_json_obj(self):
         return {
@@ -408,41 +409,14 @@ def _min_tail_image(g, parity, lo, hi):
     return g00 * xn + g01 * xd, g10 * xn + g11 * xd
 
 
-def _bar_violations(s, th, tables):
-    """Coupled bound at 11|22 bars: at such a bar, lambda = 3 + [0;1,1,X...]
-    - [0;1,1,Y...] exactly (X read leftward past the 11, Y rightward past the
-    22), so the bar exceeds t in every admissible completion as soon as
-    min[0;11X] - max[0;11Y] > t - 3.  Checks s and its reversal."""
-    t_excess = th.excess
-    if t_excess is None:
-        return False
-    g11 = mat_mul((0, 1, 1, 1), (0, 1, 1, 1))
-    for target in (s, s[::-1]):
-        n = len(target)
-        blo, bhi = tables.bounds(*TailTables.start_run(target))
-        flo, fhi = tables.bounds(*TailTables.end_run(target))
-        i = target.find("1122")
-        while i >= 0:
-            gx = g11
-            for k in range(i - 1, -1, -1):
-                gx = mat_mul(gx, (0, 1, 1, int(target[k])))
-            ln, ld = _min_tail_image(gx, i % 2, blo, bhi)
-            gy = g11
-            for k in range(i + 4, n):
-                gy = mat_mul(gy, (0, 1, 1, int(target[k])))
-            rn, rd = _min_tail_image(gy, 1 - (n - i - 4) % 2, flo, fhi)
-            # [0;11X]_min - [0;11Y]_max > t - 3 ?
-            num = ln * rd - rn * ld
-            den = ld * rd
-            if num * t_excess.denominator > t_excess.numerator * den:
-                return True
-            i = target.find("1122", i + 1)
-    return False
-
-
 def _position_violation(s, th, tables):
     """True when some position of the digit string s has every admissible
-    bi-infinite completion exceed the threshold there."""
+    bi-infinite completion exceed the threshold there.
+
+    This covers the coupled bound at 11|22 bars: at the first 2 of a 1122,
+    lambda = 2 + [0;2,Y...] + [0;1,1,X...] = 3 + [0;1,1,X...] - [0;1,1,Y...],
+    since [0;2,Y] = 1 - [0;1,1,Y], and both forms take the same tail values.
+    """
     if tables.has_banned_run(s):
         return True
     n = len(s)
@@ -461,51 +435,32 @@ def _position_violation(s, th, tables):
         if th.gt(num, den):
             return True
         rev = mat_mul((0, 1, 1, int(s[i])), rev)
-    return _bar_violations(s, th, tables)
+    return False
 
 
 # ------------------------------------------- forbidden-block refutation rule
 
 @functools.lru_cache(maxsize=16)
 def _alphabet_digit_pairs(cap):
-    """Digit images (A, B) of ordered alphabets with |alpha beta| <= cap,
-    by increasing size."""
+    """Digit images (A, B) of ordered alphabets with |A B| <= cap digits,
+    by increasing size, then alpha, then beta."""
     out = []
-    stack = [("a", "b")]
+    stack = [ROOT]
     while stack:
-        a, b = stack.pop()
-        if 2 * (len(a) + len(b)) > cap:
-            continue
-        out.append((a, b))
-        stack.append((a + b, b))
-        stack.append((a, a + b))
-    out.sort(key=lambda p: (len(p[0]) + len(p[1]), p))
-    pairs = []
-    for a, b in out:
-        A = "".join("22" if c == "a" else "11" for c in a)
-        B = "".join("22" if c == "a" else "11" for c in b)
-        pairs.append((A, B))
-    return pairs
+        node = stack.pop()
+        if 2 * len(node.concat()) <= cap:
+            out.append(node)
+            stack.extend(children(node))
+    out.sort(key=lambda a: (len(a.concat()), str(a.alpha), str(a.beta)))
+    return [(str(a.alpha.to_word()), str(a.beta.to_word())) for a in out]
 
 
-def _block_walk(t, j, A, B):
-    """From offset j, read letters in {A, B} until a B B pair completes the
-    forbidden block; returns the end offset or None."""
-    la, lb = len(A), len(B)
-    seen = set()
-    stack = [j]
-    while stack:
-        k = stack.pop()
-        if k in seen or k >= len(t):
-            continue
-        seen.add(k)
-        if t.startswith(B, k):
-            if t.startswith(B, k + lb):
-                return k + 2 * lb
-            stack.append(k + lb)
-        if t.startswith(A, k):
-            stack.append(k + la)
-    return None
+@functools.lru_cache(maxsize=4096)
+def _block_pattern(A, B):
+    """At each offset, the first factor A A M B B (M over {A, B}) found by
+    trying at each step the end B B, then A, then B.  {A, B} is a code, so an
+    offset is reached by at most one parse and the backtracking is linear."""
+    return re.compile("(?=(%s%s(?:%s|%s)*?%s%s))" % (A, A, A, B, B, B))
 
 
 def _aabb_factor(s, rmax):
@@ -519,17 +474,12 @@ def _aabb_factor(s, rmax):
     # the cap is bucketed so that nearby lengths share one cached list
     for A, B in _alphabet_digit_pairs((len(s) + 15) // 16 * 16):
         if 2 * (len(A) + len(B)) > len(s):
-            continue
-        AA = A + A
+            break
+        pattern = _block_pattern(A, B)
         for target in (s, s[::-1]):
-            start = target.find(AA)
-            while start >= 0:
-                end = _block_walk(target, start + 2 * len(A), A, B)
-                if end is not None:
-                    factor = target[start:end]
-                    if rmax is None or r_exponent(factor) <= rmax:
-                        return factor
-                start = target.find(AA, start + 1)
+            for m in pattern.finditer(target):
+                if rmax is None or r_exponent(m[1]) <= rmax:
+                    return m[1]
     return None
 
 
@@ -572,8 +522,7 @@ def membership(w, t, budget=None):
             return _periodic_witness(period, 0, s, th, val)
 
     # certified refutation rules, then the two-sided search; each context is
-    # screened by the position bounds, the coupled bar bound, and the
-    # forbidden-block scanner
+    # screened by the position bounds and the forbidden-block scanner
     rmax = th.rmax
     t = th.value
 

@@ -18,8 +18,7 @@ from cfspectra import acceptance
 def _run(name, **kw):
     fn = dict(acceptance._CRITERIA)[name]
     r = acceptance._result(name, (lambda: fn(**kw)) if kw else fn)
-    print("criterion %s: %s - %s (%.1fs)"
-          % (r.name, "PASS" if r.ok else "FAIL", r.detail, r.seconds))
+    print(r.line())
     return r
 
 

@@ -108,6 +108,35 @@ def test_dim_and_asym():
     assert code == 0 and "0.030779" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--blocks", "1,2", "--words-file", "w.txt")])
+def test_dim_needs_exactly_one_block_source(flags):
+    assert cli.main(["dim", "--level", "4", *flags]) == 3
+
+
+def test_dim_words_file(tmp_path, capsys):
+    path = tmp_path / "blocks.txt"
+    path.write_text("1\n2\n\n")
+    assert cli.main(["dim", "--words-file", str(path), "--level", "4"]) == 0
+    from_file = capsys.readouterr().out
+    assert cli.main(["dim", "--blocks", "1,2", "--level", "4"]) == 0
+    assert capsys.readouterr().out == from_file
+    missing = tmp_path / "missing.txt"
+    assert cli.main(["dim", "--words-file", str(missing)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: cannot read %s: No such file or directory"
+                                % missing]
+    assert cli.main(["dim", "--blocks", ""]) == 1
+    assert capsys.readouterr().err == "error: moran_bracket needs at least one word\n"
+
+
+def test_sigma_csv_is_the_language_csv(capsys):
+    from cfspectra.lang import sigma_enumerate
+    assert cli.main(["sigma", "--t", "3+6^-6", "--n", "12", "-f", "csv"]) == 2
+    lang = sigma_enumerate("3+6^-6", 12)
+    assert lang.unresolved and capsys.readouterr().out == lang.to_csv()
+
+
 def test_farey_and_alphabets_and_renorm():
     code, out, _ = run_cli("farey", "--n", "3")
     assert code == 0 and out.splitlines()[1].startswith("aab")

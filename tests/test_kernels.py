@@ -1,16 +1,18 @@
 """The fast kernels against the exact routes they replace: integer tables and
-periodic Markov values, and the float-guided Moran roots."""
+periodic Markov values, the refutation screens, and the float-guided Moran
+roots."""
 
+import functools
 import math
 from fractions import Fraction
 
 import mpmath
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfspectra import dimension, lang
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
-from cfspectra.cf import iv_prec
+from cfspectra.cf import IDENTITY, iv_prec, mat_mul, r_exponent
 from cfspectra.surd import QuadSurd, SurdSum, refine
 
 
@@ -76,6 +78,167 @@ def test_certified_tables_match_fraction_recurrence(monkeypatch):
     lang._certified_tables.cache_clear()  # drop the reference-built tables
     assert got.j1 > 1 or got.j2 > 1  # the bootstrap admitted a longer ban
     _same_tables(got, want)
+
+
+# The refutation screens as they were before the block rule became one regular
+# expression per alphabet pair and the bar scan was dropped as the position
+# bound at the bar: the hand-rolled pair list, the depth-first block walk, and
+# the separate bar scan over the word and its reversal.
+
+@functools.lru_cache(maxsize=16)
+def _alphabet_digit_pairs_reference(cap):
+    out = []
+    stack = [("a", "b")]
+    while stack:
+        a, b = stack.pop()
+        if 2 * (len(a) + len(b)) > cap:
+            continue
+        out.append((a, b))
+        stack.append((a + b, b))
+        stack.append((a, a + b))
+    out.sort(key=lambda p: (len(p[0]) + len(p[1]), p))
+    pairs = []
+    for a, b in out:
+        A = "".join("22" if c == "a" else "11" for c in a)
+        B = "".join("22" if c == "a" else "11" for c in b)
+        pairs.append((A, B))
+    return pairs
+
+
+def _block_walk_reference(t, j, A, B):
+    la, lb = len(A), len(B)
+    seen = set()
+    stack = [j]
+    while stack:
+        k = stack.pop()
+        if k in seen or k >= len(t):
+            continue
+        seen.add(k)
+        if t.startswith(B, k):
+            if t.startswith(B, k + lb):
+                return k + 2 * lb
+            stack.append(k + lb)
+        if t.startswith(A, k):
+            stack.append(k + la)
+    return None
+
+
+def _aabb_factor_reference(s, rmax):
+    for A, B in _alphabet_digit_pairs_reference((len(s) + 15) // 16 * 16):
+        if 2 * (len(A) + len(B)) > len(s):
+            continue
+        AA = A + A
+        for target in (s, s[::-1]):
+            start = target.find(AA)
+            while start >= 0:
+                end = _block_walk_reference(target, start + 2 * len(A), A, B)
+                if end is not None:
+                    factor = target[start:end]
+                    if rmax is None or r_exponent(factor) <= rmax:
+                        return factor
+                start = target.find(AA, start + 1)
+    return None
+
+
+def _bar_violations_reference(s, th, tables):
+    t_excess = None if th.root else Fraction(th.num, th.den) - 3  # was th.excess
+    if t_excess is None:
+        return False
+    g11 = mat_mul((0, 1, 1, 1), (0, 1, 1, 1))
+    for target in (s, s[::-1]):
+        n = len(target)
+        blo, bhi = tables.bounds(*lang.TailTables.start_run(target))
+        flo, fhi = tables.bounds(*lang.TailTables.end_run(target))
+        i = target.find("1122")
+        while i >= 0:
+            gx = g11
+            for k in range(i - 1, -1, -1):
+                gx = mat_mul(gx, (0, 1, 1, int(target[k])))
+            ln, ld = lang._min_tail_image(gx, i % 2, blo, bhi)
+            gy = g11
+            for k in range(i + 4, n):
+                gy = mat_mul(gy, (0, 1, 1, int(target[k])))
+            rn, rd = lang._min_tail_image(gy, 1 - (n - i - 4) % 2, flo, fhi)
+            num = ln * rd - rn * ld
+            den = ld * rd
+            if num * t_excess.denominator > t_excess.numerator * den:
+                return True
+            i = target.find("1122", i + 1)
+    return False
+
+
+def _position_violation_reference(s, th, tables):
+    if tables.has_banned_run(s):
+        return True
+    n = len(s)
+    suffix = [None] * (n + 1)
+    suffix[n] = IDENTITY
+    for i in range(n - 1, -1, -1):
+        suffix[i] = mat_mul((0, 1, 1, int(s[i])), suffix[i + 1])
+    flo, fhi = tables.bounds(*lang.TailTables.end_run(s))
+    blo, bhi = tables.bounds(*lang.TailTables.start_run(s))
+    rev = IDENTITY
+    for i in range(n):
+        fn, fd = lang._min_tail_image(suffix[i + 1], (n - 1 - i) % 2, flo, fhi)
+        bn, bd = lang._min_tail_image(rev, i % 2, blo, bhi)
+        num = (fn * bd + bn * fd) + int(s[i]) * fd * bd
+        den = fd * bd
+        if th.gt(num, den):
+            return True
+        rev = mat_mul((0, 1, 1, int(s[i])), rev)
+    return _bar_violations_reference(s, th, tables)
+
+
+def test_alphabet_digit_pairs_match_hand_rolled_tree():
+    for cap in range(161):
+        assert lang._alphabet_digit_pairs(cap) == _alphabet_digit_pairs_reference(cap)
+
+
+def _digit_words(max_size):
+    """{1,2}-words, and {11,22}-block words cut at any length."""
+    blocks = st.lists(st.sampled_from(["11", "22"]), min_size=1,
+                      max_size=(max_size + 1) // 2)
+    return st.one_of(st.text(alphabet="12", min_size=1, max_size=max_size),
+                     st.tuples(blocks, st.integers(1, max_size)).map(
+                         lambda p: "".join(p[0])[:p[1]]))
+
+
+def _block_words():
+    """Words around some alpha^2 M beta^2 digit image, so that many
+    examples hold a block factor (random words rarely do)."""
+    core = st.sampled_from(_alphabet_digit_pairs_reference(24)).flatmap(
+        lambda p: st.lists(st.sampled_from(p), max_size=10).map(
+            lambda m: p[0] * 2 + "".join(m) + p[1] * 2))
+    side = st.text(alphabet="12", max_size=8)
+    return st.tuples(side, core, side).map(lambda parts: "".join(parts)[:140])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_digit_words(140), _block_words()),
+       st.sampled_from([None, -1] + list(range(21))))
+@example("2222111122221111", None)
+@example("1111222211112222", 3)
+def test_block_factor_matches_block_walk(s, rmax):
+    assert lang._aabb_factor(s, rmax) == _aabb_factor_reference(s, rmax)
+
+
+_SCREEN_THRESHOLDS = ["3", "3+6^-6", "3+6^-204", "3.05", "sqrt(12)"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_digit_words(70),
+                 st.lists(st.sampled_from(["11", "22", "1122", "2211"]),
+                          min_size=1, max_size=20).map("".join)),
+       st.sampled_from(_SCREEN_THRESHOLDS), st.sampled_from([8, 40, 70]))
+@example("22221111", "3", 8)
+@example("11112222", "3+6^-6", 40)
+def test_position_pass_matches_position_and_bar_scans(s, t, cap):
+    """The bar bound at a 1122 is the position bound at its first 2
+    ([0;2,Y] = 1 - [0;1,1,Y]), so one pass gives the old verdict."""
+    th = lang.Threshold.of(t)
+    tables = lang.tail_tables_for(th, cap)
+    assert (lang._position_violation(s, th, tables)
+            == _position_violation_reference(s, th, tables))
 
 
 SQRT12 = QuadSurd(0, 2, 1, 3)
