@@ -398,6 +398,29 @@ def _family_witness(s, th):
     return _periodic_witness(period, off, s, th, val)
 
 
+def _pads_by_length():
+    """The self-closing pads a f^k b (|a|, |b| <= 2, f in {1, 2}, k <= 10),
+    grouped by length, each group sorted: 351 pads of lengths 0..14."""
+    sides = ("", "1", "2", "11", "12", "21", "22")
+    pads = {a + f * k + b for a in sides for b in sides for f in "12" for k in range(11)}
+    return tuple(tuple(sorted(p for p in pads if len(p) == n))
+                 for n in range(max(map(len, pads)) + 1))
+
+
+_PADS = _pads_by_length()
+
+
+def _pad_witness(s, th, pads):
+    """An "in" certificate per(s + pad) from the first pad whose periodic
+    Markov value is <= t; else None."""
+    for pad in pads:
+        period = s + pad
+        val = period_markov(period)
+        if (val - th.sum).sign() <= 0:
+            return _periodic_witness(period, 0, s, th, val)
+    return None
+
+
 # ------------------------------------------------------ position bound kernel
 
 def _min_tail_image(g, parity, lo, hi):
@@ -442,13 +465,13 @@ def _position_violation(s, th, tables):
 
 @functools.lru_cache(maxsize=16)
 def _alphabet_digit_pairs(cap):
-    """Digit images (A, B) of ordered alphabets with |A B| <= cap digits,
-    by increasing size, then alpha, then beta."""
+    """Digit images (A, B) of ordered alphabets that fit an A A B B factor of
+    cap digits, 2 |A B| <= cap, by increasing size, then alpha, then beta."""
     out = []
     stack = [ROOT]
     while stack:
         node = stack.pop()
-        if 2 * len(node.concat()) <= cap:
+        if 4 * len(node.concat()) <= cap:  # two digits per letter
             out.append(node)
             stack.extend(children(node))
     out.sort(key=lambda a: (len(a.concat()), str(a.alpha), str(a.beta)))
@@ -495,9 +518,19 @@ def membership(w, t, budget=None):
     One decision path, in this order, at every word length:
     In by the periodic family: the word's entry in factor_witness_map (its
     shortest, then theta-least, family period) when that period's Markov
-    value is <= t.  In by a self-closing: per(w + pad) for the pads
-    "", 1, 2, 12, 21, 11, 22.  Out: the refutation rules on the word, then a
-    two-sided branch-and-bound refutation.  Unresolved: budget exhausted.
+    value is <= t.  In by a self-closing: per(w + pad) for the pads of
+    length 0..2 ("", 1, 2, 11, 12, 21, 22).  Out: the refutation rules on
+    the word, then a two-sided branch-and-bound refutation.  While that
+    search is at depth d >= 3 with an unrefuted context left, and within the
+    budget, the self-closings with the pads of length d (a f^k b, see
+    _pads_by_length) are tried first.  Unresolved: budget exhausted.
+
+    The pads only ever turn an unresolved word in: a witness is a
+    bi-infinite sequence with lambda <= t everywhere that contains the word,
+    so no word it certifies can also have a refutation, and the depth of an
+    "out" verdict is the same with or without them.  Tying the pad length to
+    the depth keeps words refuted at depth <= 2 free of pad work, and lets
+    the budget bound the pads as it bounds the search.
 
     t is anything Threshold.of accepts.  The module caches are
     functools.lru_cache objects with a finite maxsize, each with
@@ -513,13 +546,10 @@ def membership(w, t, budget=None):
     tables = tail_tables_for(th, len(s) + 8)
 
     cert = _family_witness(s, th)
+    if cert is None:
+        cert = _pad_witness(s, th, _PADS[0] + _PADS[1] + _PADS[2])
     if cert is not None:
         return cert
-    for pad in ("", "1", "2", "12", "21", "11", "22"):
-        period = s + pad
-        val = period_markov(period)
-        if (val - th.sum).sign() <= 0:
-            return _periodic_witness(period, 0, s, th, val)
 
     # certified refutation rules, then the two-sided search; each context is
     # screened by the position bounds and the forbidden-block scanner
@@ -537,6 +567,10 @@ def membership(w, t, budget=None):
     depth = 0
     max_refuted = 0
     while frontier:
+        if 2 < depth < len(_PADS):
+            cert = _pad_witness(s, th, _PADS[depth])
+            if cert is not None:
+                return cert
         if depth >= budget.max_refute_depth or len(frontier) > budget.max_frontier:
             return MembershipCertificate(Word(s), t, "unresolved",
                                          refutation_depth=depth)

@@ -130,11 +130,28 @@ def test_dim_words_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: moran_bracket needs at least one word\n"
 
 
-def test_sigma_csv_is_the_language_csv(capsys):
-    from cfspectra.lang import sigma_enumerate
-    assert cli.main(["sigma", "--t", "3+6^-6", "--n", "12", "-f", "csv"]) == 2
+def test_sigma_csv_is_the_language_csv(capsys, monkeypatch):
+    from cfspectra.lang import MembershipCertificate, sigma_enumerate
+    from cfspectra.words import Word
+    assert cli.main(["sigma", "--t", "3+6^-6", "--n", "12", "-f", "csv"]) == 0
     lang = sigma_enumerate("3+6^-6", 12)
-    assert lang.unresolved and capsys.readouterr().out == lang.to_csv()
+    assert capsys.readouterr().out == lang.to_csv()
+
+    def with_unresolved(t, n, budget=None):
+        # the language with its first three words turned unresolved
+        ls = sigma_enumerate(t, n, budget)
+        for w in ls.sorted_words()[:3]:
+            del ls.words[w]
+            ls.unresolved[w] = MembershipCertificate(Word(w), ls.threshold,
+                                                     "unresolved", refutation_depth=28)
+        return ls
+
+    monkeypatch.setattr(cli, "sigma_enumerate", with_unresolved)
+    assert cli.main(["sigma", "--t", "3+6^-6", "--n", "12", "-f", "csv"]) == 2
+    lang = with_unresolved("3+6^-6", 12)
+    csv = capsys.readouterr().out
+    assert len(lang.unresolved) == 3 and csv == lang.to_csv()
+    assert csv.splitlines()[-1].endswith(",unresolved,,28")
 
 
 def test_farey_and_alphabets_and_renorm():

@@ -1,6 +1,6 @@
 """The fast kernels against the exact routes they replace: integer tables and
-periodic Markov values, the refutation screens, and the float-guided Moran
-roots."""
+periodic Markov values, the refutation screens, membership with its
+depth-tied self-closings, and the float-guided Moran roots."""
 
 import functools
 import math
@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from cfspectra import dimension, lang
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
 from cfspectra.cf import IDENTITY, iv_prec, mat_mul, r_exponent
+from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum, refine
+from cfspectra.words import Word
 
 
 def _iterate_tables_reference(j1, j2, rounds, bits, warm=None):
@@ -190,8 +192,12 @@ def _position_violation_reference(s, th, tables):
 
 
 def test_alphabet_digit_pairs_match_hand_rolled_tree():
+    # the hand-rolled list bounds |A B| in letters; only pairs whose A A B B
+    # fits in cap digits are kept now
     for cap in range(161):
-        assert lang._alphabet_digit_pairs(cap) == _alphabet_digit_pairs_reference(cap)
+        assert lang._alphabet_digit_pairs(cap) == [
+            (A, B) for A, B in _alphabet_digit_pairs_reference(cap)
+            if 2 * (len(A) + len(B)) <= cap]
 
 
 def _digit_words(max_size):
@@ -239,6 +245,73 @@ def test_position_pass_matches_position_and_bar_scans(s, t, cap):
     tables = lang.tail_tables_for(th, cap)
     assert (lang._position_violation(s, th, tables)
             == _position_violation_reference(s, th, tables))
+
+
+# membership as it was before the self-closings grew with the refutation
+# depth: the seven short pads before the refutation, then the search alone
+
+def _membership_reference(w, t, budget=None):
+    s = str(w)
+    if not s:
+        raise DomainError("membership of the empty word")
+    budget = budget or lang.MembershipBudget()
+    th = lang.Threshold.of(t)
+    tables = lang.tail_tables_for(th, len(s) + 8)
+
+    cert = lang._family_witness(s, th)
+    if cert is not None:
+        return cert
+    for pad in ("", "1", "2", "12", "21", "11", "22"):
+        period = s + pad
+        val = lang.period_markov(period)
+        if (val - th.sum).sign() <= 0:
+            return lang._periodic_witness(period, 0, s, th, val)
+
+    rmax = th.rmax
+    t = th.value
+
+    def refuted(ctx):
+        if lang._position_violation(ctx, th, tables):
+            return True
+        return rmax != -1 and lang._aabb_factor(ctx, rmax) is not None
+
+    if refuted(s):
+        return lang.MembershipCertificate(Word(s), t, "out", refutation_depth=0)
+    frontier = [("", "")]
+    depth = 0
+    max_refuted = 0
+    while frontier:
+        if depth >= budget.max_refute_depth or len(frontier) > budget.max_frontier:
+            return lang.MembershipCertificate(Word(s), t, "unresolved",
+                                              refutation_depth=depth)
+        nxt = []
+        extend_left = depth % 2 == 1
+        for l, r in frontier:
+            for d in "12":
+                l2, r2 = (d + l, r) if extend_left else (l, r + d)
+                if refuted(l2 + s + r2):
+                    max_refuted = max(max_refuted, depth + 1)
+                else:
+                    nxt.append((l2, r2))
+        frontier = nxt
+        depth += 1
+    return lang.MembershipCertificate(Word(s), t, "out", refutation_depth=max_refuted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="12", min_size=4, max_size=20),
+       st.sampled_from(["3", "3+6^-6", "3+6^-204"]))
+@example("112222222112", "3+6^-6")
+@example("2211", "3")
+def test_pad_witnesses_only_resolve_unresolved_words(s, t):
+    """"in" and "out" rows are the reference's; an unresolved reference row
+    either stays unresolved or turns "in" with a witness that verifies."""
+    want = _membership_reference(s, t)
+    got = lang.membership(s, t)
+    if want.verdict == "unresolved" and got.verdict == "in":
+        assert got.verify()
+    else:
+        assert got.row() == want.row()
 
 
 SQRT12 = QuadSurd(0, 2, 1, 3)

@@ -154,6 +154,30 @@ def test_membership_long_words():
     assert membership(Word(mutant), t).row() == (mutant, "out", "", "0")
 
 
+def test_pad_witnesses_resolve_the_dupper_words():
+    # the six words d_upper(3+6^-6, 12) once counted as unresolved
+    t = parse_threshold("3+6^-6")
+    for w in ("112222222112", "122222221122", "221122222221", "211222222211",
+              "112222222221", "122222222211"):
+        cert = membership(Word(w), t)
+        assert cert.verdict == "in" and cert.verify(), w
+    assert not sigma_enumerate(t, 12).unresolved
+    assert d_upper(t, 12) == 0.6146727534790039
+
+
+def test_budget_bounds_the_pads():
+    pads = [p for group in lang._PADS for p in group]
+    assert len(pads) == len(set(pads)) == 351 and len(lang._PADS) == 15
+    assert pads[:7] == ["", "1", "2", "11", "12", "21", "22"]
+    assert all(len(p) == n for n, group in enumerate(lang._PADS) for p in group)
+    # 112222222112 closes only with a length-5 pad, tried at search depth 5
+    t = parse_threshold("3+6^-6")
+    w = Word("112222222112")
+    assert membership(w, t).row() == (str(w), "in", "per(11222222211222222)", "")
+    cert = membership(w, t, MembershipBudget(max_refute_depth=2))
+    assert cert.row() == (str(w), "unresolved", "", "2")
+
+
 def test_lang_caches_bounded_and_clearable():
     t = Fraction(3) + Fraction(1, 6 ** 6)
     warm = sigma_enumerate(t, 12).to_json()
