@@ -10,9 +10,9 @@ from .cuts import (Cut, CutClass, classify_cut, compare_bad_cuts,
                    forbidden_pattern_check, position_bounds, push_cut)
 from .dimension import (DimBracket, certify_blocks, d_asymptotic, d_upper,
                         lambert_inv, moran_bracket, thm2_bound)
-from .errors import (BudgetExceeded, DomainError, EmptyLanguage,
-                     NoValidExtension, NotRenormalizable, PreconditionUnverified,
-                     SpectraError, TemplateMismatch)
+from .errors import (DomainError, EmptyLanguage, NoValidExtension,
+                     NotRenormalizable, PreconditionUnverified, SpectraError,
+                     TemplateMismatch)
 from .lang import (LanguageSet, MembershipBudget, MembershipCertificate,
                    Threshold, connecting_sequence, membership, parse_threshold,
                    sigma3_factors, sigma_enumerate)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cf import eventually_periodic_value
 from .errors import DomainError
-from .surd import QuadSurd, SurdSum
+from .surd import SurdSum
 from .words import Word
 
 
@@ -145,8 +146,8 @@ _UNSET = object()
 
 
 def _markov_periodic(period):
-    """Exact Markov value of the two-sided periodic sequence, with integer
-    work only.
+    """(D, c, i): the Markov value of the two-sided periodic sequence is
+    sqrt(D) / c, attained first at phase i, found with integer work only.
 
     Let M_i = A(p_i) A(p_{i+1}) ... A(p_{i-1}), A(d) = ((d, 1), (1, 0)), be
     the matrix of the period rotated to start at phase i.  The forward value
@@ -172,7 +173,7 @@ def _markov_periodic(period):
         a, b, c, e = c * d + e, c, f * d + b - d * e, f
         if c < best_c:
             best_c, best_i = c, i + 1
-    return SurdSum.from_value(QuadSurd(0, 1, best_c, disc)), True, best_i
+    return disc, best_c, best_i
 
 
 def markov_value(s):
@@ -186,7 +187,8 @@ def markov_value(s):
     """
     if (not s.left_transient and not s.right_transient
             and s.left_period.digits == s.right_period.digits):
-        return _markov_periodic(s.right_period)
+        disc, c, i = _markov_periodic(s.right_period)
+        return SurdSum({disc: Fraction(1, c)}), True, i
     nl, nr = len(s.left_period), len(s.right_period)
     lo = -(len(s.left_transient) + 2 * nl + 2)
     hi = len(s.right_transient) + 2 * nr + 2

@@ -17,7 +17,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
@@ -30,18 +29,6 @@ from .lang import MembershipBudget, connecting_sequence, sigma_enumerate
 from .renorm import find_alphabet
 from .surd import SurdSum
 from .words import Word
-
-
-@dataclass
-class RunConfig:
-    enum_budget: int = 28
-    fmt: str = "text"
-    timing: bool = False
-    verify: bool = False
-
-    def __post_init__(self):
-        if self.enum_budget <= 0:
-            raise errors.DomainError("the enumeration budget must be positive")
 
 
 _SEQ_RE = re.compile(
@@ -71,15 +58,15 @@ def _fmt_exact(v, digits=7):
     return "%s ≈ %s (first %d decimals exact)" % (s, s.decimal(digits), digits)
 
 
-def _emit(cfg, payload, text_lines):
+def _emit(args, payload, text_lines):
     elapsed = payload.pop("elapsed", None)
-    if cfg.fmt == "json":
+    if args.format == "json":
         out = dict(payload)
         out.pop("rows", None)
-        if cfg.timing and elapsed is not None:
+        if args.timing and elapsed is not None:
             out["elapsed"] = elapsed
         print(json.dumps(out, indent=2, sort_keys=True, default=str))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         rows = payload.get("rows")
         if rows is None:
             rows = [[k, str(v)] for k, v in sorted(payload.items())]
@@ -90,11 +77,11 @@ def _emit(cfg, payload, text_lines):
     else:
         for line in text_lines:
             print(line)
-    if cfg.timing and elapsed is not None and cfg.fmt != "json":
+    if args.timing and elapsed is not None and args.format != "json":
         print("elapsed: %.3fs" % elapsed, file=sys.stderr)
 
 
-def cmd_eval(args, cfg):
+def cmd_eval(args):
     seq = parse_sequence(args.seq)
     if args.at is not None:
         val = lambda_at(seq, args.at)
@@ -102,7 +89,7 @@ def cmd_eval(args, cfg):
                    "decimal": SurdSum.from_value(val).decimal(10)}
         return 0, payload, ["lambda at %d: %s" % (args.at, _fmt_exact(val))]
     val, attained, idx = markov_value(seq)
-    if cfg.verify:
+    if args.verify:
         shift_val, _, _ = markov_value(seq.shift(3))
         if (shift_val - val).sign() != 0:
             raise errors.SpectraError("verification failed: shift invariance")
@@ -114,7 +101,7 @@ def cmd_eval(args, cfg):
     return 0, payload, lines
 
 
-def cmd_interval(args, cfg):
+def cmd_interval(args):
     w = Word(args.word)
     c = cylinder(w)
     r = r_exponent(w)
@@ -126,7 +113,7 @@ def cmd_interval(args, cfg):
     return 0, payload, lines
 
 
-def cmd_alphabets(args, cfg):
+def cmd_alphabets(args):
     nodes = enumerate_alphabets(args.depth)
     rows = [["alpha", "beta", "witness", "depth"]]
     rows += [[str(a.alpha), str(a.beta), str(a.witness), a.depth] for a in nodes]
@@ -139,7 +126,7 @@ def cmd_alphabets(args, cfg):
     return 0, payload, lines
 
 
-def cmd_farey(args, cfg):
+def cmd_farey(args):
     words = farey_words(args.n)
     rows = [["word", "theta"]] + [[str(w), str(theta(w))] for w in words]
     payload = {"n": args.n, "count": len(words), "rows": rows,
@@ -147,7 +134,7 @@ def cmd_farey(args, cfg):
     return 0, payload, ["%s  theta=%s" % (w, theta(w)) for w in words]
 
 
-def cmd_renorm(args, cfg):
+def cmd_renorm(args):
     alphabet, dec = find_alphabet(Word(args.word), args.n)
     payload = {
         "word": args.word, "n": args.n,
@@ -163,10 +150,10 @@ def cmd_renorm(args, cfg):
     return 0, payload, lines
 
 
-def cmd_sigma(args, cfg):
-    budget = MembershipBudget(max_refute_depth=cfg.enum_budget)
+def cmd_sigma(args):
+    budget = MembershipBudget(max_refute_depth=args.enum_budget)
     ls = sigma_enumerate(args.t, args.n, budget)
-    if cfg.verify:
+    if args.verify:
         for w in ls.sorted_words():
             if not ls.words[w].verify():
                 raise errors.SpectraError("certificate failed for %s" % w)
@@ -180,7 +167,7 @@ def cmd_sigma(args, cfg):
     return code, payload, lines
 
 
-def cmd_cuts(args, cfg):
+def cmd_cuts(args):
     cut = Cut.parse(args.cut)
     got = classify_cut(cut)
     payload = {"cut": str(cut), "class": got.kind,
@@ -191,12 +178,12 @@ def cmd_cuts(args, cfg):
     return 0, payload, lines
 
 
-def cmd_pushcut(args, cfg):
+def cmd_pushcut(args):
     cut = Cut.parse(args.cut)
     out = push_cut(args.w, cut, args.kind)
     payload = {"cut": str(cut), "w": args.w, "kind": args.kind, "image": str(out)}
     lines = ["%s --%s/%s--> %s" % (cut, args.w, args.kind, out)]
-    if cfg.verify:
+    if args.verify:
         got = classify_cut(out)
         expect = "good" if args.kind.startswith("good") else "bad"
         if got.kind != expect:
@@ -206,7 +193,7 @@ def cmd_pushcut(args, cfg):
     return 0, payload, lines
 
 
-def cmd_connect(args, cfg):
+def cmd_connect(args):
     alphabet = None
     if args.alphabet:
         from .alphabets import alphabet_from_pair
@@ -221,7 +208,7 @@ def cmd_connect(args, cfg):
     return 0, payload, lines
 
 
-def cmd_dim(args, cfg):
+def cmd_dim(args):
     if args.blocks is not None:
         words = [w.strip() for w in args.blocks.split(",") if w.strip()]
     else:
@@ -241,30 +228,31 @@ def cmd_dim(args, cfg):
 
 def _parse_rho(text):
     s = text.strip().replace(" ", "")
-    m = re.fullmatch(r"(\d+)\^-(\d+)", s)
-    if m:
-        return Fraction(1, int(m.group(1)) ** int(m.group(2)))
     m = re.fullmatch(r"e\^-(\d+(?:\.\d+)?)", s)
     if m:
         return math.exp(-float(m.group(1)))
-    return Fraction(s)
+    m = re.fullmatch(r"(\d+)\^-(\d+)", s)
+    try:
+        return Fraction(1, int(m[1]) ** int(m[2])) if m else Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise errors.DomainError("cannot parse rho %r" % text) from None
 
 
-def cmd_asym(args, cfg):
+def cmd_asym(args):
     rho = _parse_rho(args.rho)
     v = d_asymptotic(float(rho))
     payload = {"rho": args.rho, "d_asymptotic": v}
     return 0, payload, ["d_asymptotic(%s) = %.10g" % (args.rho, v)]
 
 
-def cmd_bound(args, cfg):
+def cmd_bound(args):
     rho = _parse_rho(args.rho)
     v = thm2_bound(float(rho), args.C)
     payload = {"rho": args.rho, "C": args.C, "bound": v}
     return 0, payload, ["difference-set dimension bound = %.10g" % v]
 
 
-def cmd_verify_suite(args, cfg):
+def cmd_verify_suite(args):
     from .acceptance import run_suite
     results = run_suite(full=args.full)
     rows = [["criterion", "status", "detail", "seconds"]]
@@ -377,17 +365,14 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 3
     t0 = time.time()
     try:
-        cfg = RunConfig(enum_budget=args.enum_budget, fmt=args.format,
-                        timing=args.timing, verify=args.verify)
-        code, payload, lines = args.fn(args, cfg)
-    except errors.BudgetExceeded as e:
-        print("budget exceeded: %s" % e, file=sys.stderr)
-        return 2
+        if args.enum_budget <= 0:
+            raise errors.DomainError("the enumeration budget must be positive")
+        code, payload, lines = args.fn(args)
     except (errors.SpectraError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     payload.setdefault("elapsed", time.time() - t0)
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return code
 
 

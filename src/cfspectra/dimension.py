@@ -137,6 +137,8 @@ def _cylinders(words, level):
     if any(len(w) != m for w in words):
         raise DomainError("all blocks must have the same length")
     if level is not None:
+        if level < 1:
+            raise DomainError("level must be >= 1")
         if level % m:
             raise DomainError("level must be a multiple of the block length")
         k = level // m

@@ -9,10 +9,6 @@ class DomainError(SpectraError):
     """Input outside an operation's mathematical domain."""
 
 
-class BudgetExceeded(SpectraError):
-    """A search or certification ran out of its configured budget."""
-
-
 class NotRenormalizable(SpectraError):
     """The word admits no valid decomposition at this renormalization step."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .alphabets import ROOT, children, farey_words, theta_inverse
-from .biseq import BiSeq, markov_value
+from .biseq import BiSeq, _markov_periodic, markov_value
 from .cf import IDENTITY, floor_log, mat_mul, r_exponent
 from .errors import DomainError
 from .surd import QuadSurd, SurdSum
@@ -53,10 +53,10 @@ class Threshold:
     at t read off it, built once by Threshold.of.
 
     Kernel form: t = num/den, or t*t = num/den when root is set; thresholds
-    compare and hash by it.  value is t as given or parsed (it is printed).
+    compare and hash by it, and every decision at t is one of the three exact
+    integer comparisons below.  value is t as given or parsed (it is printed).
     """
     value: object = field(compare=False)
-    sum: SurdSum = field(compare=False)
     num: int
     den: int
     root: bool
@@ -84,6 +84,12 @@ class Threshold:
             return a <= 0 or a * a * self.den <= self.num * b * b
         return a * self.den <= self.num * b
 
+    def root_le(self, D, c):
+        """sqrt(D)/c <= t, exactly (D >= 0, c > 0)."""
+        if self.root:
+            return D * self.den <= self.num * c * c
+        return self.num >= 0 and D * self.den * self.den <= self.num * self.num * c * c
+
 
 @functools.lru_cache(maxsize=64, typed=True)
 def _threshold(x):
@@ -92,14 +98,13 @@ def _threshold(x):
         if (value.p, value.q, value.r, value.d) != (0, 2, 1, 3):
             raise DomainError("enumeration thresholds must be rational or sqrt(12)")
         # sqrt(12) - 3 > e^-1: only r = 0 block factors could qualify
-        return Threshold(value, SurdSum.from_value(value), 12, 1, True, 0)
+        return Threshold(value, 12, 1, True, 0)
     f = value.as_fraction() if isinstance(value, QuadSurd) else Fraction(value)
     excess = f - 3
     # the block rule refutes above 3 + e^-r, so rmax is the largest r with
     # e^-r >= t - 3: None (no cap) for t <= 3, -1 (no block applies) for t >= 4
     rmax = None if excess <= 0 else -1 if excess >= 1 else floor_log(1 / excess)
-    return Threshold(value, SurdSum.from_value(value), f.numerator,
-                     f.denominator, False, rmax)
+    return Threshold(value, f.numerator, f.denominator, False, rmax)
 
 
 # --------------------------------------------- admissible-tail value bounds
@@ -114,26 +119,20 @@ class TailTables:
     threshold before use.  States are (digit, L) with L the current run
     length (0 = no parity constraint: unbounded on the far side or longer
     than the ban).  Bounds are outer (lo rounded down, hi up), so every
-    finite iteration stage is sound.
+    finite iteration stage is sound; each is an integer pair (num, den).
     """
 
-    def __init__(self, j1, j2, m, big):
+    def __init__(self, j1, j2, lo, hi):
         self.j1 = j1
         self.j2 = j2
-        self._m = m
-        self._big = big
-
-    def _state(self, digit, runlen, bounded):
-        j = self.j1 if digit == "1" else self.j2
-        if not bounded or runlen > j:
-            return (digit, 0)
-        return (digit, runlen)
+        self._lo = lo
+        self._hi = hi
 
     def bounds(self, digit, runlen, bounded):
         """((lo_num, lo_den), (hi_num, hi_den)) for tails at this junction."""
-        s = self._state(digit, runlen, bounded)
-        lo, hi = self._m[s], self._big[s]
-        return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+        j = self.j1 if digit == "1" else self.j2
+        s = (digit, runlen if bounded and runlen <= j else 0)
+        return self._lo[s], self._hi[s]
 
     def run_banned(self, digit, runlen):
         """Whether closing a both-sided run of this digit and length is banned."""
@@ -178,18 +177,14 @@ def _iterate_tables(j1, j2, rounds, bits, warm=None):
     denominator is scale.
     """
     scale = 1 << bits
-    lo0 = Fraction(36602, 100000)   # below (sqrt3 - 1)/2
-    hi0 = Fraction(73206, 100000)   # above sqrt3 - 1
+    lo0 = (36602, 100000)   # below (sqrt3 - 1)/2
+    hi0 = (73206, 100000)   # above sqrt3 - 1
     states = [("1", 0), ("2", 0)]
     states += [("1", L) for L in range(1, j1 + 1)]
     states += [("2", L) for L in range(1, j2 + 1)]
     # warm start from outer bounds of a weaker ban set (still outer here)
-    m, big = {}, {}
-    for s in states:
-        lo = warm._m.get(s, lo0) if warm else lo0
-        hi = warm._big.get(s, hi0) if warm else hi0
-        m[s] = (lo.numerator, lo.denominator)
-        big[s] = (hi.numerator, hi.denominator)
+    m = {s: warm._lo.get(s, lo0) if warm else lo0 for s in states}
+    big = {s: warm._hi.get(s, hi0) if warm else hi0 for s in states}
 
     trans = {}
     for s in states:
@@ -218,8 +213,7 @@ def _iterate_tables(j1, j2, rounds, bits, warm=None):
             m2[s] = (lo, scale)
             big2[s] = (hi, scale)
         m, big = m2, big2
-    return TailTables(j1, j2, {s: Fraction(*v) for s, v in m.items()},
-                      {s: Fraction(*v) for s, v in big.items()})
+    return TailTables(j1, j2, m, big)
 
 
 @functools.lru_cache(maxsize=1)
@@ -242,7 +236,8 @@ def tail_tables_for(t, run_cap):
 
 @functools.lru_cache(maxsize=16)
 def _certified_tables(th, run_cap):
-    if th.sum > Fraction(306, 100):
+    # t > 3.06 = 153/50; sqrt(12), the one root threshold, is above it
+    if th.root or 50 * th.num > 153 * th.den:
         return _free_tables()
     j1 = j2 = 1
     tables = _iterate_tables(1, 1, 80, 160)
@@ -268,8 +263,9 @@ def _certified_tables(th, run_cap):
 
 @functools.lru_cache(maxsize=1 << 16)
 def period_markov(period):
-    """Cached exact Markov value of the two-sided periodic sequence."""
-    return markov_value(BiSeq.periodic(period))[0]
+    """(D, c) with sqrt(D)/c the Markov value of the two-sided periodic
+    sequence, cached."""
+    return _markov_periodic(period)[:2]
 
 
 def _windows(period, n):
@@ -380,9 +376,13 @@ class LanguageSet:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
-def _periodic_witness(period, offset, word, th, value):
+def _periodic_witness(period, offset, word, th, dc):
+    """The "in" certificate per(period) read from offset, with its Markov
+    value sqrt(D)/c, dc = (D, c)."""
+    D, c = dc
     seq = BiSeq.periodic(period[offset:] + period[:offset])
-    return MembershipCertificate(Word(word), th.value, "in", seq, value)
+    return MembershipCertificate(Word(word), th.value, "in", seq,
+                                 SurdSum({D: Fraction(1, c)}))
 
 
 def _family_witness(s, th):
@@ -392,10 +392,10 @@ def _family_witness(s, th):
     if hit is None:
         return None
     period, off = hit
-    val = period_markov(period)
-    if (val - th.sum).sign() > 0:
+    dc = period_markov(period)
+    if not th.root_le(*dc):
         return None
-    return _periodic_witness(period, off, s, th, val)
+    return _periodic_witness(period, off, s, th, dc)
 
 
 def _pads_by_length():
@@ -415,9 +415,9 @@ def _pad_witness(s, th, pads):
     Markov value is <= t; else None."""
     for pad in pads:
         period = s + pad
-        val = period_markov(period)
-        if (val - th.sum).sign() <= 0:
-            return _periodic_witness(period, 0, s, th, val)
+        dc = period_markov(period)
+        if th.root_le(*dc):
+            return _periodic_witness(period, 0, s, th, dc)
     return None
 
 

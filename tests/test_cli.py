@@ -73,6 +73,17 @@ def test_common_flags():
             if o.startswith("--")}
     assert opts == {"--help", "--format", "--enum-budget", "--timing", "--verify"}
     assert cli.main(["--enum-budget", "0", "sigma", "--t", "3", "--n", "4"]) == 1
+    # checked before dispatch, also where the budget is never read
+    assert cli.main(["--enum-budget", "-1", "interval", "--word", "2211"]) == 1
+
+
+@pytest.mark.parametrize("argv", [("asym", "--rho", "0^-1"), ("asym", "--rho", "1/0"),
+                                  ("bound", "--rho", "0^-3"), ("asym", "--rho", "x")])
+def test_malformed_rho_is_one_error_line(argv, capsys):
+    assert cli.main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: cannot parse rho %r" % argv[2]]
 
 
 def test_unresolved_exit_code(monkeypatch):
@@ -128,6 +139,8 @@ def test_dim_words_file(tmp_path, capsys):
                                 % missing]
     assert cli.main(["dim", "--blocks", ""]) == 1
     assert capsys.readouterr().err == "error: moran_bracket needs at least one word\n"
+    assert cli.main(["dim", "--blocks", "1", "--level", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: level must be >= 1\n")
 
 
 def test_sigma_csv_is_the_language_csv(capsys, monkeypatch):

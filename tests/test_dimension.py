@@ -41,6 +41,9 @@ def test_moran_guards():
         moran_bracket(["1", "22"])
     with pytest.raises(DomainError):
         moran_bracket(["12", "21"], level=5)
+    for level in (0, -2):  # level 0 would be the one cylinder of the empty word
+        with pytest.raises(DomainError, match="level must be >= 1"):
+            moran_bracket(["1"], level=level)
 
 
 def test_certify_blocks_examples():

@@ -27,8 +27,8 @@ def _iterate_tables_reference(j1, j2, rounds, bits, warm=None):
     states = [("1", 0), ("2", 0)]
     states += [("1", L) for L in range(1, j1 + 1)]
     states += [("2", L) for L in range(1, j2 + 1)]
-    m = {s: (warm._m.get(s, lo0) if warm else lo0) for s in states}
-    big = {s: (warm._big.get(s, hi0) if warm else hi0) for s in states}
+    m = {s: Fraction(*warm._lo[s]) if warm and s in warm._lo else lo0 for s in states}
+    big = {s: Fraction(*warm._hi[s]) if warm and s in warm._hi else hi0 for s in states}
     trans = {}
     for s in states:
         d, L = s
@@ -48,13 +48,18 @@ def _iterate_tables_reference(j1, j2, rounds, bits, warm=None):
             m2[s] = Fraction(math.floor(lo * scale), scale)
             big2[s] = Fraction(math.ceil(hi * scale), scale)
         m, big = m2, big2
-    return lang.TailTables(j1, j2, m, big)
+    return lang.TailTables(j1, j2, {s: (v.numerator, v.denominator) for s, v in m.items()},
+                           {s: (v.numerator, v.denominator) for s, v in big.items()})
 
 
 def _same_tables(a, b):
+    """Same ban lengths and the same bound values at every junction."""
     assert (a.j1, a.j2) == (b.j1, b.j2)
-    assert a._m == b._m
-    assert a._big == b._big
+    for d, j in (("1", a.j1), ("2", a.j2)):
+        for runlen in range(1, j + 2):
+            for bounded in (True, False):
+                got, want = a.bounds(d, runlen, bounded), b.bounds(d, runlen, bounded)
+                assert [Fraction(*x) for x in got] == [Fraction(*x) for x in want]
 
 
 def test_free_tables_match_fraction_recurrence():
@@ -63,7 +68,7 @@ def test_free_tables_match_fraction_recurrence():
 
 
 def test_warm_started_tables_match_fraction_recurrence():
-    # the warm start hands over reduced Fractions of another scale
+    # the warm start hands over integer pairs of another scale
     cold = lang._iterate_tables(1, 1, 80, 160)
     _same_tables(cold, _iterate_tables_reference(1, 1, 80, 160))
     _same_tables(lang._iterate_tables(3, 1, 27, 172, warm=cold),
@@ -248,7 +253,8 @@ def test_position_pass_matches_position_and_bar_scans(s, t, cap):
 
 
 # membership as it was before the self-closings grew with the refutation
-# depth: the seven short pads before the refutation, then the search alone
+# depth: the seven short pads before the refutation, then the search alone;
+# each pad is checked through markov_value and SurdSum, not the kernel form
 
 def _membership_reference(w, t, budget=None):
     s = str(w)
@@ -263,9 +269,10 @@ def _membership_reference(w, t, budget=None):
         return cert
     for pad in ("", "1", "2", "12", "21", "11", "22"):
         period = s + pad
-        val = lang.period_markov(period)
-        if (val - th.sum).sign() <= 0:
-            return lang._periodic_witness(period, 0, s, th, val)
+        val, _, _ = markov_value(BiSeq.periodic(period))
+        if (val - SurdSum.from_value(th.value)).sign() <= 0:
+            return lang.MembershipCertificate(Word(s), th.value, "in",
+                                              BiSeq.periodic(period), val)
 
     rmax = th.rmax
     t = th.value
@@ -339,9 +346,10 @@ def _sign(x, t):
 @given(_thresholds, st.integers(1, 1 << 700), st.integers(1, 1 << 700),
        st.integers(-2, 2), st.booleans())
 def test_threshold_kernel_comparisons_are_exact(t, den, h, off, tie):
-    """gt and plus_le against exact SurdSum comparison, next to t and at
-    exact ties (a rational t then gives num/den = t and num/den + 1/h = t
-    when off = 0)."""
+    """gt, plus_le and root_le against exact SurdSum comparison, next to t
+    and at exact ties (a rational t then gives num/den = t and
+    num/den + 1/h = t when off = 0; sqrt(D)/c = t takes D = (t c)^2, and
+    sqrt(12) is sqrt(12 c^2)/c)."""
     th = lang.Threshold.of(t)
     if tie and isinstance(t, Fraction):
         den *= t.denominator * h
@@ -352,16 +360,25 @@ def test_threshold_kernel_comparisons_are_exact(t, den, h, off, tie):
     if tie and isinstance(t, Fraction) and off == 0:
         assert not th.gt(t.numerator * den // t.denominator, den)
         assert th.plus_le(num, den, h) and Fraction(num, den) + Fraction(1, h) == t
+    t2 = Fraction(12) if t == SQRT12 else t * t
+    c = h * t2.denominator if tie else h
+    D = max(math.floor(t2 * c * c) + off, 0)  # next to (t c)^2
+    assert th.root_le(D, c) == (_sign(SurdSum({D: Fraction(1, c)}), t) <= 0)
+    if D == t2 * c * c:
+        assert th.root_le(D, c) and SurdSum({D: Fraction(1, c)}) == SurdSum.from_value(t)
+        assert not th.root_le(D + 1, c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="12", min_size=1, max_size=48))
 def test_periodic_markov_matches_general_path(p):
-    value, attained, idx = _markov_periodic(p)
-    assert attained
+    D, c, idx = _markov_periodic(p)
+    value, attained, at = markov_value(BiSeq.periodic(p))
+    assert (value, attained, at) == (SurdSum({D: Fraction(1, c)}), True, idx)
     # a transient copy of the period sends the same sequence down the general path
     general, _, _ = markov_value(BiSeq.make(p, "", p, p))
-    assert value == general
+    assert general * c == SurdSum({D: 1})  # sqrt(D)/c, exactly
+    assert lang.period_markov(p) == (D, c)
     seq = BiSeq.periodic(p)
     assert lambda_at(seq, idx) == value
     assert all(lambda_at(seq, j) < value for j in range(idx))  # first phase wins ties

@@ -200,8 +200,22 @@ def test_tables_do_not_depend_on_earlier_calls():
     lang._certified_tables.cache_clear()
     lang.tail_tables_for(t, 40)
     again = lang.tail_tables_for(t, 20)
-    assert (again.j1, again.j2, again._m, again._big) == (fresh.j1, fresh.j2,
-                                                          fresh._m, fresh._big)
+    assert (again.j1, again.j2, again._lo, again._hi) == (fresh.j1, fresh.j2,
+                                                          fresh._lo, fresh._hi)
+
+
+def test_table_states_and_the_ban_gate():
+    # the 121/212 exclusion is certified up to t = 3.06 inclusive, and above
+    # it the tables are the free ones
+    assert (lang.tail_tables_for(Fraction(306, 100), 20).j1,
+            lang.tail_tables_for(Fraction(306, 100) + Fraction(1, 10 ** 9), 20).j1) == (1, 0)
+    # a junction reads its run's state only when the run is closed on the far
+    # side and within the ban; otherwise the unconstrained state (digit, 0)
+    tables = lang.tail_tables_for(Fraction(3), 20)
+    for d, j in (("1", tables.j1), ("2", tables.j2)):
+        free = tables.bounds(d, j + 1, True)
+        assert tables.bounds(d, 1, False) == tables.bounds(d, j, False) == free
+        assert tables.bounds(d, 1, True) != free
 
 
 def test_connecting_sequences():
