@@ -197,8 +197,10 @@ def cmd_connect(args):
     alphabet = None
     if args.alphabet:
         from .alphabets import alphabet_from_pair
-        a, b = args.alphabet.split(",")
-        alphabet = alphabet_from_pair(a.strip(), b.strip())
+        pair = [x.strip() for x in args.alphabet.split(",")]
+        if len(pair) != 2 or not all(pair):
+            raise errors.DomainError("cannot parse alphabet %r" % args.alphabet)
+        alphabet = alphabet_from_pair(*pair)
     seq = connecting_sequence(args.kind, args.n, alphabet)
     val, attained, idx = markov_value(seq)
     payload = {"kind": args.kind, "n": args.n, "sequence": repr(seq),

@@ -118,8 +118,8 @@ class TailTables:
     121/212 exclusion; longer bans are certified against the working
     threshold before use.  States are (digit, L) with L the current run
     length (0 = no parity constraint: unbounded on the far side or longer
-    than the ban).  Bounds are outer (lo rounded down, hi up), so every
-    finite iteration stage is sound; each is an integer pair (num, den).
+    than the ban).  The bounds, integer pairs (num, den), are the fixed point
+    of the outward-rounded map (lo down, hi up; see _iterate_tables).
     """
 
     def __init__(self, j1, j2, lo, hi):
@@ -166,59 +166,57 @@ class TailTables:
         return False
 
 
-def _iterate_tables(j1, j2, rounds, bits, warm=None):
-    """Outer tables by `rounds` steps of x -> 1/(c + x) over the transitions,
-    each bound rounded outward to a multiple of 2**-bits.
+def _iterate_tables(j1, j2, bits):
+    """The greatest fixed point inside the seed box of x -> 1/(c + x) over
+    the transitions, each bound rounded outward to a multiple of 2**-bits.
+
+    The rounded map is inclusion-monotone and the seed box is a post-fixpoint
+    (1/(2 + hi0) > lo0 and 1/(1 + lo0) < hi0), so an update in place never
+    widens a bound.  Sweeps update each digit's states in chain order (d, 0),
+    (d, j) .. (d, 1), so one sweep carries a run of any length; they narrow
+    the bounds on a finite grid, and stop when a sweep changes nothing.
 
     Integer kernel: floor and ceil are monotone, so they commute with the min
     and max over transitions, and for a next-state bound p/q the rounded
     image is floor(scale*q / (c*q + p)) (lo) or its ceiling (hi).  Bounds are
-    carried as (numerator, denominator) pairs; after the first round every
+    carried as (numerator, denominator) pairs; after the first sweep every
     denominator is scale.
     """
     scale = 1 << bits
     lo0 = (36602, 100000)   # below (sqrt3 - 1)/2
     hi0 = (73206, 100000)   # above sqrt3 - 1
-    states = [("1", 0), ("2", 0)]
-    states += [("1", L) for L in range(1, j1 + 1)]
-    states += [("2", L) for L in range(1, j2 + 1)]
-    # warm start from outer bounds of a weaker ban set (still outer here)
-    m = {s: warm._lo.get(s, lo0) if warm else lo0 for s in states}
-    big = {s: warm._hi.get(s, hi0) if warm else hi0 for s in states}
+    trans = {}  # in sweep order
+    for d, j, nd, jn in (("1", j1, "2", j2), ("2", j2, "1", j1)):
+        for L in [0] + list(range(j, 0, -1)):
+            out = [(int(d), (d, L + 1 if 0 < L < j else 0))]
+            # closing the run is allowed when no parity constraint applies
+            if L % 2 == 0:
+                out.append((int(nd), (nd, 1 if jn >= 1 else 0)))
+            trans[(d, L)] = out
+    m = dict.fromkeys(trans, lo0)
+    big = dict.fromkeys(trans, hi0)
 
-    trans = {}
-    for s in states:
-        d, L = s
-        j = j1 if d == "1" else j2
-        nxt_len = 0 if (L == 0 or L + 1 > j) else L + 1
-        out = [(int(d), (d, nxt_len))]
-        # closing the run is allowed when no parity constraint applies
-        if L == 0 or L % 2 == 0:
-            nd = "2" if d == "1" else "1"
-            jn = j1 if nd == "1" else j2
-            out.append((int(nd), (nd, 1 if jn >= 1 else 0)))
-        trans[s] = out
-
-    for _ in range(rounds):
-        m2, big2 = {}, {}
-        for s in states:
+    changed = True
+    while changed:
+        changed = False
+        for s, out in trans.items():
             lo = hi = None
-            for c, ns in trans[s]:
+            for c, ns in out:
                 p, q = big[ns]
                 a = scale * q // (c * q + p)
                 p, q = m[ns]
                 b = -(-scale * q // (c * q + p))
                 lo = a if lo is None or a < lo else lo
                 hi = b if hi is None or b > hi else hi
-            m2[s] = (lo, scale)
-            big2[s] = (hi, scale)
-        m, big = m2, big2
+            if (lo, scale) != m[s] or (hi, scale) != big[s]:
+                m[s], big[s] = (lo, scale), (hi, scale)
+                changed = True
     return TailTables(j1, j2, m, big)
 
 
 @functools.lru_cache(maxsize=1)
 def _free_tables():
-    return _iterate_tables(0, 0, 120, 128)
+    return _iterate_tables(0, 0, 128)
 
 
 def tail_tables_for(t, run_cap):
@@ -228,8 +226,9 @@ def tail_tables_for(t, run_cap):
     The 1-run and 2-run ban lengths are bootstrapped: runs of length 1
     (the 121/212 exclusion) hold for t <= 3.06; each longer pattern
     2 1^(j+2) 2 or 1 2^(j+2) 1 is admitted only after a position-bound
-    refutation using the tables certified so far.  The cap is bucketed, and
-    the tables depend only on t and the bucket.
+    refutation using the tables certified so far.  Every table is the fixed
+    point of the outward-rounded map for its ban lengths (_iterate_tables).
+    The cap is bucketed, and the tables depend only on t and the bucket.
     """
     return _certified_tables(Threshold.of(t), (max(1, run_cap) + 15) // 16 * 16 + 1)
 
@@ -240,7 +239,7 @@ def _certified_tables(th, run_cap):
     if th.root or 50 * th.num > 153 * th.den:
         return _free_tables()
     j1 = j2 = 1
-    tables = _iterate_tables(1, 1, 80, 160)
+    tables = _iterate_tables(1, 1, 160)
     stall1 = stall2 = False
     while not (stall1 and stall2):
         before = (j1, j2)
@@ -253,10 +252,8 @@ def _certified_tables(th, run_cap):
                       not _position_violation("1" + "2" * (j2 + 2) + "1", th, tables))
             j2 += 0 if stall2 else 2
         if (j1, j2) != before:
-            jmax = max(j1, j2)
-            tables = _iterate_tables(j1, j2, 24 + jmax, 160 + 4 * jmax, warm=tables)
-    jmax = max(j1, j2)
-    return _iterate_tables(j1, j2, 200 + 2 * jmax, 200 + 4 * jmax, warm=tables)
+            tables = _iterate_tables(j1, j2, 160 + 4 * max(j1, j2))
+    return _iterate_tables(j1, j2, 200 + 4 * max(j1, j2))
 
 
 # ------------------------------------------------------- the periodic family

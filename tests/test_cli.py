@@ -62,6 +62,14 @@ def test_malformed_threshold_is_one_error_line(text):
     assert err.splitlines() == ["error: cannot parse threshold %r" % text]
 
 
+@pytest.mark.parametrize("text", ["1,2,3", "1"])
+def test_malformed_alphabet_is_one_error_line(text):
+    code, out, err = run_cli("connect", "--kind", "a-to-alphabet", "--n", "2",
+                             "--alphabet", text)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: cannot parse alphabet %r" % text]
+
+
 @pytest.mark.parametrize("flag", [("--workers", "2"), ("--seed", "1"),
                                   ("--precision-budget", "64")])
 def test_unknown_common_flags_are_usage_errors(flag):

@@ -3,10 +3,12 @@ periodic Markov values, the refutation screens, membership with its
 depth-tied self-closings, and the float-guided Moran roots."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,17 +20,10 @@ from cfspectra.surd import QuadSurd, SurdSum, refine
 from cfspectra.words import Word
 
 
-def _iterate_tables_reference(j1, j2, rounds, bits, warm=None):
-    """The Fraction recurrence: each round maps every bound through
-    x -> 1/(c + x) exactly, then rounds it outward to a multiple of 2**-bits."""
-    scale = 1 << bits
-    lo0 = Fraction(36602, 100000)
-    hi0 = Fraction(73206, 100000)
+def _transitions(j1, j2):
     states = [("1", 0), ("2", 0)]
     states += [("1", L) for L in range(1, j1 + 1)]
     states += [("2", L) for L in range(1, j2 + 1)]
-    m = {s: Fraction(*warm._lo[s]) if warm and s in warm._lo else lo0 for s in states}
-    big = {s: Fraction(*warm._hi[s]) if warm and s in warm._hi else hi0 for s in states}
     trans = {}
     for s in states:
         d, L = s
@@ -40,13 +35,29 @@ def _iterate_tables_reference(j1, j2, rounds, bits, warm=None):
             jn = j1 if nd == "1" else j2
             out.append((int(nd), (nd, 1 if jn >= 1 else 0)))
         trans[s] = out
-    for _ in range(rounds):
+    return trans
+
+
+_SEED = (Fraction(36602, 100000), Fraction(73206, 100000))
+
+
+def _iterate_tables_reference(j1, j2, bits):
+    """The Fraction recurrence from the seed box until it stops changing:
+    each round maps every bound through x -> 1/(c + x) exactly, then rounds
+    it outward to a multiple of 2**-bits."""
+    scale = 1 << bits
+    trans = _transitions(j1, j2)
+    m = dict.fromkeys(trans, _SEED[0])
+    big = dict.fromkeys(trans, _SEED[1])
+    while True:
         m2, big2 = {}, {}
-        for s in states:
+        for s in trans:
             lo = min(1 / (c + big[ns]) for c, ns in trans[s])
             hi = max(1 / (c + m[ns]) for c, ns in trans[s])
             m2[s] = Fraction(math.floor(lo * scale), scale)
             big2[s] = Fraction(math.ceil(hi * scale), scale)
+        if (m2, big2) == (m, big):
+            break
         m, big = m2, big2
     return lang.TailTables(j1, j2, {s: (v.numerator, v.denominator) for s, v in m.items()},
                            {s: (v.numerator, v.denominator) for s, v in big.items()})
@@ -63,16 +74,86 @@ def _same_tables(a, b):
 
 
 def test_free_tables_match_fraction_recurrence():
-    _same_tables(lang._iterate_tables(0, 0, 120, 128),
-                 _iterate_tables_reference(0, 0, 120, 128))
+    _same_tables(lang._free_tables(), _iterate_tables_reference(0, 0, 128))
 
 
-def test_warm_started_tables_match_fraction_recurrence():
-    # the warm start hands over integer pairs of another scale
-    cold = lang._iterate_tables(1, 1, 80, 160)
-    _same_tables(cold, _iterate_tables_reference(1, 1, 80, 160))
-    _same_tables(lang._iterate_tables(3, 1, 27, 172, warm=cold),
-                 _iterate_tables_reference(3, 1, 27, 172, warm=cold))
+@pytest.mark.parametrize("j1, j2, bits", [(1, 1, 160), (3, 1, 172), (9, 5, 236),
+                                          (49, 49, 396)])
+def test_tables_are_the_fixed_point_of_the_fraction_recurrence(j1, j2, bits):
+    _same_tables(lang._iterate_tables(j1, j2, bits),
+                 _iterate_tables_reference(j1, j2, bits))
+
+
+def test_one_round_from_the_seed_never_widens_a_bound():
+    # the seed box is a post-fixpoint of the rounded map, which is what makes
+    # the in-place sweeps narrow monotonically and stop
+    lo0, hi0 = _SEED
+    for j1, j2, bits in itertools.product((0, 1, 3, 9, 49), (0, 1, 3, 9, 49),
+                                          (128, 160, 396)):
+        scale = 1 << bits
+        for out in _transitions(j1, j2).values():
+            assert Fraction(math.floor(min(scale / (c + hi0) for c, _ in out)), scale) >= lo0
+            assert Fraction(math.ceil(max(scale / (c + lo0) for c, _ in out)), scale) <= hi0
+
+
+def _jacobi_tables(j1, j2, rounds, bits, warm=None):
+    """The fixed-round integer iteration the sweeps replaced, with its warm
+    start from the tables of a weaker ban set."""
+    scale = 1 << bits
+    lo0, hi0 = (36602, 100000), (73206, 100000)
+    trans = _transitions(j1, j2)
+    m = {s: warm._lo.get(s, lo0) if warm else lo0 for s in trans}
+    big = {s: warm._hi.get(s, hi0) if warm else hi0 for s in trans}
+    for _ in range(rounds):
+        m2, big2 = {}, {}
+        for s in trans:
+            lo = hi = None
+            for c, ns in trans[s]:
+                p, q = big[ns]
+                a = scale * q // (c * q + p)
+                p, q = m[ns]
+                b = -(-scale * q // (c * q + p))
+                lo = a if lo is None or a < lo else lo
+                hi = b if hi is None or b > hi else hi
+            m2[s] = (lo, scale)
+            big2[s] = (hi, scale)
+        m, big = m2, big2
+    return lang.TailTables(j1, j2, m, big)
+
+
+def _bootstrap_reference(th, run_cap):
+    """The ban bootstrap with its Jacobi rounds and warm starts, as it was
+    before the tables were solved to their fixed point."""
+    if th.root or 50 * th.num > 153 * th.den:
+        return _jacobi_tables(0, 0, 120, 128)
+    j1 = j2 = 1
+    tables = _jacobi_tables(1, 1, 80, 160)
+    stall1 = stall2 = False
+    while not (stall1 and stall2):
+        before = (j1, j2)
+        if not stall1:
+            stall1 = (j1 + 2 > run_cap or
+                      not lang._position_violation("2" + "1" * (j1 + 2) + "2", th, tables))
+            j1 += 0 if stall1 else 2
+        if not stall2:
+            stall2 = (j2 + 2 > run_cap or
+                      not lang._position_violation("1" + "2" * (j2 + 2) + "1", th, tables))
+            j2 += 0 if stall2 else 2
+        if (j1, j2) != before:
+            jmax = max(j1, j2)
+            tables = _jacobi_tables(j1, j2, 24 + jmax, 160 + 4 * jmax, warm=tables)
+    jmax = max(j1, j2)
+    return _jacobi_tables(j1, j2, 200 + 2 * jmax, 200 + 4 * jmax, warm=tables)
+
+
+@pytest.mark.parametrize("t", ["3+6^-%d" % k for k in range(1, 13)]
+                         + ["3", "3.05", "3.06", "sqrt(12)", "2.9"])
+@pytest.mark.parametrize("cap", [20, 48])
+def test_certified_tables_match_the_jacobi_bootstrap(t, cap):
+    th = lang.Threshold.of(t)
+    got = lang.tail_tables_for(th, cap)
+    want = _bootstrap_reference(th, (cap + 15) // 16 * 16 + 1)
+    assert (got.j1, got.j2, got._lo, got._hi) == (want.j1, want.j2, want._lo, want._hi)
 
 
 def test_certified_tables_match_fraction_recurrence(monkeypatch):
