@@ -13,8 +13,8 @@ from .dimension import (DimBracket, certify_blocks, d_asymptotic, d_upper,
 from .errors import (DomainError, EmptyLanguage, NoValidExtension,
                      NotRenormalizable, PreconditionUnverified, SpectraError,
                      TemplateMismatch)
-from .lang import (LanguageSet, MembershipBudget, MembershipCertificate,
-                   Threshold, connecting_sequence, membership, parse_threshold,
+from .lang import (LanguageSet, MembershipCertificate, Threshold,
+                   connecting_sequence, membership, parse_threshold,
                    sigma3_factors, sigma_enumerate)
 from .renorm import (WeakRenormalization, decompose_over, find_alphabet,
                      renorm_step, semi_renormalize, trivial_renormalization)

@@ -21,8 +21,8 @@ from .cf import cylinder_length
 from .cuts import Cut, classify_cut, push_cut
 from .dimension import (C0, d_asymptotic, d_upper, lambert_inv, moran_bracket,
                         thm2_bound)
-from .lang import (MembershipBudget, connecting_sequence, membership,
-                   parse_threshold, sigma3_factors, sigma_enumerate)
+from .lang import (connecting_sequence, membership, parse_threshold,
+                   sigma3_factors, sigma_enumerate)
 from .surd import QuadSurd, SurdSum
 from .words import ABWord, UVWord, Word, apply_subst
 
@@ -104,10 +104,9 @@ def criterion_3(full=False):
     rng = random.Random(68)
     base = sigma3_factors(68)
     words = base.sorted_words()
-    budget = MembershipBudget(max_refute_depth=12)
     inward = rng.sample(words, 500)
     for w in inward:
-        cert = membership(Word(w), t, budget)
+        cert = membership(Word(w), t, max_depth=12)
         if cert.verdict != "in":
             return False, "sampled in-word rejected: %s (%s)" % (w, cert.verdict)
     tried = 0
@@ -118,7 +117,7 @@ def criterion_3(full=False):
         w = _mutate(rng.choice(words), rng)
         if w in wordset:
             continue
-        cert = membership(Word(w), t, budget)
+        cert = membership(Word(w), t, max_depth=12)
         if cert.verdict != "out":
             return False, "sampled out-word not refuted: %s (%s)" % (w, cert.verdict)
         checked += 1
@@ -149,18 +148,17 @@ def criterion_4():
 def criterion_5():
     """Consecutive Farey triples: the triple word is out, trimmed words are in."""
     three = Fraction(3)
-    budget = MembershipBudget(max_refute_depth=16)
     triples = 0
     for n in range(2, 11):
         words = farey_words(n)
         for a, b, c in zip(words, words[1:], words[2:]):
             cat = a + b + c
             w = cat.to_word()
-            cert = membership(w, three, budget)
+            cert = membership(w, three, max_depth=16)
             if cert.verdict != "out":
                 return False, "triple %s%s%s not out (%s)" % (a, b, c, cert.verdict)
             for trimmed in (cat.head(), cat.body()):
-                tcert = membership(trimmed.to_word(), three, budget)
+                tcert = membership(trimmed.to_word(), three, max_depth=16)
                 if tcert.verdict != "in":
                     return False, "trimmed %s of %s%s%s not in (%s)" % (
                         trimmed, a, b, c, tcert.verdict)

@@ -25,7 +25,7 @@ from .biseq import BiSeq, lambda_at, markov_value
 from .cf import cylinder, r_exponent
 from .cuts import Cut, classify_cut, push_cut
 from .dimension import d_asymptotic, moran_bracket, thm2_bound
-from .lang import MembershipBudget, connecting_sequence, sigma_enumerate
+from .lang import connecting_sequence, sigma_enumerate
 from .renorm import find_alphabet
 from .surd import SurdSum
 from .words import Word
@@ -151,8 +151,7 @@ def cmd_renorm(args):
 
 
 def cmd_sigma(args):
-    budget = MembershipBudget(max_refute_depth=args.enum_budget)
-    ls = sigma_enumerate(args.t, args.n, budget)
+    ls = sigma_enumerate(args.t, args.n, max_depth=args.enum_budget)
     if args.verify:
         for w in ls.sorted_words():
             if not ls.words[w].verify():

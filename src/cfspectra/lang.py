@@ -429,33 +429,81 @@ def _min_tail_image(g, parity, lo, hi):
     return g00 * xn + g01 * xd, g10 * xn + g11 * xd
 
 
+# A position bound is the tuple (s, rev, end, back, live): the digit string
+# s; the product M(s[n-1]) .. M(s[0]) over its reversal, M(c) = (0, 1, 1, c);
+# its end run (digit, runlen, bounded); the backward tail bounds of its
+# leading run; and the live positions (i, base num, base den, forward matrix
+# M(s[i+1]) .. M(s[n-1])), the base being s[i] plus the least backward tail
+# image at i.  A bound is built whole or grown on the right, never on the
+# left: once the leading run is closed the bases never change, so one
+# retirement rule serves both.
+
+def _bound_build(s, th, tables):
+    """The position bound of the digit string s, built whole from suffix
+    products; None when s closes a banned interior odd run or some position
+    of s has every admissible bi-infinite completion exceed t there."""
+    if tables.has_banned_run(s):
+        return None
+    back = tables.bounds(*TailTables.start_run(s))
+    forward = [IDENTITY]
+    for c in reversed(s[1:]):
+        forward.append(mat_mul((0, 1, 1, int(c)), forward[-1]))
+    forward.reverse()
+    rev = IDENTITY
+    live = []
+    for i, c in enumerate(s):
+        bn, bd = _min_tail_image(rev, i % 2, *back)
+        live.append((i, bn + int(c) * bd, bd, forward[i]))
+        rev = mat_mul((0, 1, 1, int(c)), rev)
+    return _bound_check(s, rev, TailTables.end_run(s), back, live, th, tables)
+
+
+def _bound_push(bound, d, th, tables):
+    """The position bound of s + d grown from the bound of s, or None as
+    _bound_build.  While s is one run, every position's backward tail reads
+    the leading run, which the push may close: s + d is then built whole."""
+    s, rev, (e_d, e_r, e_b), back, live = bound
+    if not e_b:
+        return _bound_build(s + d, th, tables)
+    if d != e_d and tables.run_banned(e_d, e_r):
+        return None  # closing a banned interior odd run
+    gd = (0, 1, 1, int(d))
+    bn, bd = _min_tail_image(rev, len(s) % 2, *back)
+    grown = [(i, b_n, b_d, mat_mul(g, gd)) for i, b_n, b_d, g in live]
+    grown.append((len(s), bn + int(d) * bd, bd, IDENTITY))
+    end = (d, e_r + 1 if d == e_d else 1, True)
+    return _bound_check(s + d, mat_mul(gd, rev), end, back, grown, th, tables)
+
+
+def _bound_check(s, rev, end, back, live, th, tables):
+    """The bound of s from its live positions, or None when one exceeds t.
+    A position retires when its bound plus its forward cylinder diameter is
+    <= t: growing s only narrows its forward tail inside that cylinder, and
+    leaves its base alone once the leading run is closed (before that, the
+    next push builds s whole)."""
+    flo, fhi = tables.bounds(*end)
+    last = len(s) - 1
+    kept = []
+    for pos in live:
+        i, bn, bd, g = pos
+        fn, fd = _min_tail_image(g, (last - i) % 2, flo, fhi)
+        num, den = bn * fd + fn * bd, bd * fd
+        if th.gt(num, den):
+            return None
+        if not th.plus_le(num, den, g[3] * (g[2] + g[3])):
+            kept.append(pos)
+    return s, rev, end, back, kept
+
+
 def _position_violation(s, th, tables):
-    """True when some position of the digit string s has every admissible
-    bi-infinite completion exceed the threshold there.
+    """True when the digit string s closes a banned interior odd run, or some
+    position of s has every admissible bi-infinite completion exceed t there.
 
     This covers the coupled bound at 11|22 bars: at the first 2 of a 1122,
     lambda = 2 + [0;2,Y...] + [0;1,1,X...] = 3 + [0;1,1,X...] - [0;1,1,Y...],
     since [0;2,Y] = 1 - [0;1,1,Y], and both forms take the same tail values.
     """
-    if tables.has_banned_run(s):
-        return True
-    n = len(s)
-    suffix = [None] * (n + 1)
-    suffix[n] = IDENTITY
-    for i in range(n - 1, -1, -1):
-        suffix[i] = mat_mul((0, 1, 1, int(s[i])), suffix[i + 1])
-    flo, fhi = tables.bounds(*TailTables.end_run(s))
-    blo, bhi = tables.bounds(*TailTables.start_run(s))
-    rev = IDENTITY
-    for i in range(n):
-        fn, fd = _min_tail_image(suffix[i + 1], (n - 1 - i) % 2, flo, fhi)
-        bn, bd = _min_tail_image(rev, i % 2, blo, bhi)
-        num = (fn * bd + bn * fd) + int(s[i]) * fd * bd
-        den = fd * bd
-        if th.gt(num, den):
-            return True
-        rev = mat_mul((0, 1, 1, int(s[i])), rev)
-    return False
+    return _bound_build(s, th, tables) is None
 
 
 # ------------------------------------------- forbidden-block refutation rule
@@ -503,14 +551,12 @@ def _aabb_factor(s, rmax):
     return None
 
 
-@dataclass
-class MembershipBudget:
-    max_refute_depth: int = 28
-    max_frontier: int = 8192
+_MAX_FRONTIER = 8192  # contexts a search level may hold
 
 
-def membership(w, t, budget=None):
-    """Certified membership of a finite word in the level-t language.
+def membership(w, t, max_depth=28):
+    """Certified membership of a finite word over {1, 2} in the level-t
+    language; other digits, or the empty word, raise DomainError.
 
     One decision path, in this order, at every word length:
     In by the periodic family: the word's entry in factor_witness_map (its
@@ -518,16 +564,22 @@ def membership(w, t, budget=None):
     value is <= t.  In by a self-closing: per(w + pad) for the pads of
     length 0..2 ("", 1, 2, 11, 12, 21, 22).  Out: the refutation rules on
     the word, then a two-sided branch-and-bound refutation.  While that
-    search is at depth d >= 3 with an unrefuted context left, and within the
-    budget, the self-closings with the pads of length d (a f^k b, see
-    _pads_by_length) are tried first.  Unresolved: budget exhausted.
+    search is at depth d >= 3 with an unrefuted context left, and below
+    max_depth, the self-closings with the pads of length d (a f^k b, see
+    _pads_by_length) are tried first.  Unresolved: the search reached
+    max_depth, or a level held more than _MAX_FRONTIER contexts.
+
+    The search extends the word alternately on the right and on the left.
+    Every context is screened by its position bound, then by the block
+    rule; a right extension grows its parent's bound by one digit
+    (_bound_push), a left extension builds its bound whole (_bound_build).
 
     The pads only ever turn an unresolved word in: a witness is a
     bi-infinite sequence with lambda <= t everywhere that contains the word,
     so no word it certifies can also have a refutation, and the depth of an
     "out" verdict is the same with or without them.  Tying the pad length to
     the depth keeps words refuted at depth <= 2 free of pad work, and lets
-    the budget bound the pads as it bounds the search.
+    max_depth bound the pads as it bounds the search.
 
     t is anything Threshold.of accepts.  The module caches are
     functools.lru_cache objects with a finite maxsize, each with
@@ -536,7 +588,8 @@ def membership(w, t, budget=None):
     s = str(w)
     if not s:
         raise DomainError("membership of the empty word")
-    budget = budget or MembershipBudget()
+    if s.strip("12"):
+        raise DomainError("membership of a word with digits other than 1 and 2: %r" % s)
     th = Threshold.of(t)
     # runs longer than the word never gate a context, so the word length
     # bounds the useful ban cap (and keeps the table cache shared)
@@ -548,19 +601,21 @@ def membership(w, t, budget=None):
     if cert is not None:
         return cert
 
-    # certified refutation rules, then the two-sided search; each context is
-    # screened by the position bounds and the forbidden-block scanner
+    # certified refutation rules, then the two-sided search
     rmax = th.rmax
     t = th.value
 
-    def refuted(ctx):
-        if _position_violation(ctx, th, tables):
-            return True
-        return rmax != -1 and _aabb_factor(ctx, rmax) is not None
+    def screened(bound):
+        """The context's position bound, or None when it is None or the
+        forbidden-block rule refutes the context."""
+        if bound is None or (rmax != -1 and _aabb_factor(bound[0], rmax) is not None):
+            return None
+        return bound
 
-    if refuted(s):
+    root = screened(_bound_build(s, th, tables))
+    if root is None:
         return MembershipCertificate(Word(s), t, "out", refutation_depth=0)
-    frontier = [("", "")]
+    frontier = [root]
     depth = 0
     max_refuted = 0
     while frontier:
@@ -568,18 +623,21 @@ def membership(w, t, budget=None):
             cert = _pad_witness(s, th, _PADS[depth])
             if cert is not None:
                 return cert
-        if depth >= budget.max_refute_depth or len(frontier) > budget.max_frontier:
+        if depth >= max_depth or len(frontier) > _MAX_FRONTIER:
             return MembershipCertificate(Word(s), t, "unresolved",
                                          refutation_depth=depth)
         nxt = []
         extend_left = depth % 2 == 1
-        for l, r in frontier:
+        for bound in frontier:
             for d in "12":
-                l2, r2 = (d + l, r) if extend_left else (l, r + d)
-                if refuted(l2 + s + r2):
+                if extend_left:
+                    child = screened(_bound_build(d + bound[0], th, tables))
+                else:
+                    child = screened(_bound_push(bound, d, th, tables))
+                if child is None:
                     max_refuted = max(max_refuted, depth + 1)
                 else:
-                    nxt.append((l2, r2))
+                    nxt.append(child)
         frontier = nxt
         depth += 1
     return MembershipCertificate(Word(s), t, "out", refutation_depth=max_refuted)
@@ -588,66 +646,38 @@ def membership(w, t, budget=None):
 # ------------------------------------------------------------- enumeration
 
 def _enumerate_survivors(th, n, tables):
-    """Prefix-tree branch and bound over {1,2}^n.
+    """Prefix-tree branch and bound over {1,2}^n: the length-n words whose
+    position bound (see _bound_build) survives.
 
-    A prefix dies when it closes a banned interior odd run or when some
-    position's best-case lambda over admissible completions already exceeds
-    t; positions retire once their bound plus the forward cylinder diameter
-    can never reach t again.
+    Each child grows its parent's bound by one digit on the right
+    (_bound_push), so a prefix dies when it closes a banned interior odd run
+    or some position's best-case lambda over admissible completions exceeds
+    t, and only the positions not yet retired are re-evaluated.
     """
     out = []
-    gt, plus_le = th.gt, th.plus_le
-    # frame: (depth, prefix, reversed-prefix matrix, active positions)
-    # active entry: (birth index, base num, base den, forward matrix)
-    stack = [(0, "", IDENTITY, [])]
+    stack = [b for b in (_bound_build(d, th, tables) for d in "12") if b is not None]
     while stack:
-        depth, prefix, rev, actives = stack.pop()
-        if depth == n:
-            out.append(prefix)
+        bound = stack.pop()
+        if len(bound[0]) == n:
+            out.append(bound[0])
             continue
-        if prefix:
-            e_d, e_r, e_b = TailTables.end_run(prefix)
-        for d in ("1", "2"):
-            if prefix:
-                if d != e_d and e_b and tables.run_banned(e_d, e_r):
-                    continue  # closing a certified-forbidden interior run
-                run = (e_r + 1, e_b) if d == e_d else (1, True)
-            else:
-                run = (1, False)
-            new_prefix = prefix + d
-            flo, fhi = tables.bounds(d, run[0], run[1])
-            blo, bhi = tables.bounds(*TailTables.start_run(new_prefix))
-            bn, bd = _min_tail_image(rev, depth % 2, blo, bhi)
-            base_n, base_d = bn + int(d) * bd, bd
-            gd = (0, 1, 1, int(d))
-            ok = True
-            fresh = []
-            for i, ibn, ibd, g in actives + [(depth, base_n, base_d, None)]:
-                g2 = IDENTITY if g is None else mat_mul(g, gd)
-                fn, fd = _min_tail_image(g2, (depth - i) % 2, flo, fhi)
-                num = ibn * fd + fn * ibd
-                den = ibd * fd
-                if gt(num, den):
-                    ok = False
-                    break
-                h = g2[3] * (g2[2] + g2[3])
-                if plus_le(num, den, h):
-                    continue  # retired: bound + diameter stays below t
-                fresh.append((i, ibn, ibd, g2))
-            if ok:
-                stack.append((depth + 1, new_prefix, mat_mul(gd, rev), fresh))
+        for d in "12":
+            child = _bound_push(bound, d, th, tables)
+            if child is not None:
+                stack.append(child)
     return out
 
 
-def sigma_enumerate(t, n, budget=None):
-    """The level-t language at length n, with per-word certificates."""
+def sigma_enumerate(t, n, max_depth=28):
+    """The level-t language at length n, with per-word certificates;
+    max_depth is membership's refutation depth."""
     if n < 1:
         raise DomainError("n must be >= 1")
     th = Threshold.of(t)
     survivors = _enumerate_survivors(th, n, tail_tables_for(th, n))
     words, unresolved = {}, {}
     for w in survivors:
-        cert = membership(Word(w), th, budget)
+        cert = membership(Word(w), th, max_depth)
         if cert.verdict == "in":
             words[w] = cert
         elif cert.verdict == "unresolved":

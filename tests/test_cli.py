@@ -98,7 +98,7 @@ def test_unresolved_exit_code(monkeypatch):
     from cfspectra.lang import LanguageSet, MembershipCertificate
     from cfspectra.words import Word
 
-    def fake(t, n, budget=None):
+    def fake(t, n, max_depth=28):
         cert = MembershipCertificate(Word("1" * n), t, "unresolved",
                                      refutation_depth=0)
         return LanguageSet(n, t, {}, {"1" * n: cert})
@@ -158,9 +158,9 @@ def test_sigma_csv_is_the_language_csv(capsys, monkeypatch):
     lang = sigma_enumerate("3+6^-6", 12)
     assert capsys.readouterr().out == lang.to_csv()
 
-    def with_unresolved(t, n, budget=None):
+    def with_unresolved(t, n, max_depth=28):
         # the language with its first three words turned unresolved
-        ls = sigma_enumerate(t, n, budget)
+        ls = sigma_enumerate(t, n, max_depth)
         for w in ls.sorted_words()[:3]:
             del ls.words[w]
             ls.unresolved[w] = MembershipCertificate(Word(w), ls.threshold,

@@ -123,7 +123,8 @@ def _jacobi_tables(j1, j2, rounds, bits, warm=None):
 
 def _bootstrap_reference(th, run_cap):
     """The ban bootstrap with its Jacobi rounds and warm starts, as it was
-    before the tables were solved to their fixed point."""
+    before the tables were solved to their fixed point, each ban refuted by
+    the reference position and bar scans."""
     if th.root or 50 * th.num > 153 * th.den:
         return _jacobi_tables(0, 0, 120, 128)
     j1 = j2 = 1
@@ -133,11 +134,11 @@ def _bootstrap_reference(th, run_cap):
         before = (j1, j2)
         if not stall1:
             stall1 = (j1 + 2 > run_cap or
-                      not lang._position_violation("2" + "1" * (j1 + 2) + "2", th, tables))
+                      not _position_violation_reference("2" + "1" * (j1 + 2) + "2", th, tables))
             j1 += 0 if stall1 else 2
         if not stall2:
             stall2 = (j2 + 2 > run_cap or
-                      not lang._position_violation("1" + "2" * (j2 + 2) + "1", th, tables))
+                      not _position_violation_reference("1" + "2" * (j2 + 2) + "1", th, tables))
             j2 += 0 if stall2 else 2
         if (j1, j2) != before:
             jmax = max(j1, j2)
@@ -324,24 +325,54 @@ _SCREEN_THRESHOLDS = ["3", "3+6^-6", "3+6^-204", "3.05", "sqrt(12)"]
        st.sampled_from(_SCREEN_THRESHOLDS), st.sampled_from([8, 40, 70]))
 @example("22221111", "3", 8)
 @example("11112222", "3+6^-6", 40)
+@example("1111112", "3", 8)
 def test_position_pass_matches_position_and_bar_scans(s, t, cap):
     """The bar bound at a 1122 is the position bound at its first 2
-    ([0;2,Y] = 1 - [0;1,1,Y]), so one pass gives the old verdict."""
+    ([0;2,Y] = 1 - [0;1,1,Y]), so one pass gives the old verdict.
+
+    A bound grown digit by digit from the first digit is None exactly from
+    the first prefix the reference scans reject.  Up to then it carries the
+    whole build's string, matrices, runs and tail bounds, and every position
+    live in both has the same base and forward matrix."""
     th = lang.Threshold.of(t)
     tables = lang.tail_tables_for(th, cap)
     assert (lang._position_violation(s, th, tables)
             == _position_violation_reference(s, th, tables))
+    bound = lang._bound_build(s[0], th, tables)
+    for k in range(1, len(s) + 1):
+        if k > 1:
+            bound = lang._bound_push(bound, s[k - 1], th, tables)
+        assert (bound is None) == _position_violation_reference(s[:k], th, tables), k
+        if bound is None:
+            break
+        whole = lang._bound_build(s[:k], th, tables)
+        assert bound[:4] == whole[:4]
+        live = {pos[0]: pos for pos in whole[4]}
+        assert all(live.get(pos[0], pos) == pos for pos in bound[4]), k
+
+
+@pytest.mark.parametrize("t", ["3", "3+6^-6", "3+6^-204", "3.05", "3.2", "2.9",
+                               "sqrt(12)"])
+def test_enumerator_keeps_exactly_the_unrefuted_words(t):
+    """The prefix tree grows each bound on the right and retires positions,
+    and it keeps exactly the words the reference scans let through."""
+    th = lang.Threshold.of(t)
+    for n in range(1, 13):
+        tables = lang.tail_tables_for(th, n)
+        want = {w for w in map("".join, itertools.product("12", repeat=n))
+                if not _position_violation_reference(w, th, tables)}
+        assert set(lang._enumerate_survivors(th, n, tables)) == want, n
 
 
 # membership as it was before the self-closings grew with the refutation
 # depth: the seven short pads before the refutation, then the search alone;
-# each pad is checked through markov_value and SurdSum, not the kernel form
+# each pad is checked through markov_value and SurdSum, not the kernel form,
+# and each context is screened by the reference position and bar scans
 
-def _membership_reference(w, t, budget=None):
+def _membership_reference(w, t, max_depth=28):
     s = str(w)
     if not s:
         raise DomainError("membership of the empty word")
-    budget = budget or lang.MembershipBudget()
     th = lang.Threshold.of(t)
     tables = lang.tail_tables_for(th, len(s) + 8)
 
@@ -359,7 +390,7 @@ def _membership_reference(w, t, budget=None):
     t = th.value
 
     def refuted(ctx):
-        if lang._position_violation(ctx, th, tables):
+        if _position_violation_reference(ctx, th, tables):
             return True
         return rmax != -1 and lang._aabb_factor(ctx, rmax) is not None
 
@@ -369,7 +400,7 @@ def _membership_reference(w, t, budget=None):
     depth = 0
     max_refuted = 0
     while frontier:
-        if depth >= budget.max_refute_depth or len(frontier) > budget.max_frontier:
+        if depth >= max_depth or len(frontier) > 8192:
             return lang.MembershipCertificate(Word(s), t, "unresolved",
                                               refutation_depth=depth)
         nxt = []

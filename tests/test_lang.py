@@ -10,9 +10,8 @@ from cfspectra.alphabets import alphabet_from_pair
 from cfspectra.biseq import BiSeq, markov_value
 from cfspectra.dimension import d_upper
 from cfspectra.errors import DomainError
-from cfspectra.lang import (MembershipBudget, Threshold, connecting_sequence,
-                            membership, parse_threshold, sigma3_factors,
-                            sigma_enumerate)
+from cfspectra.lang import (Threshold, connecting_sequence, membership,
+                            parse_threshold, sigma3_factors, sigma_enumerate)
 from cfspectra.surd import QuadSurd, SurdSum
 from cfspectra.words import Word
 
@@ -47,6 +46,9 @@ def test_entry_points_agree_on_threshold_forms():
     assert len({d_upper(t, 8) for t in forms}) == 1
     with pytest.raises(DomainError):
         membership(Word("2211"), QuadSurd(0, 1, 1, 11))
+    for word in ("3", "1221312"):  # rejected before any lookup or table
+        with pytest.raises(DomainError, match="digits other than 1 and 2"):
+            membership(word, text)
     for value in (2.5, SurdSum.from_value(3)):  # inexact, or not a threshold type
         with pytest.raises(DomainError):
             sigma_enumerate(value, 3)
@@ -129,8 +131,7 @@ def test_membership_odd_run_and_slide_refutations():
 def test_unresolved_is_a_value():
     # a tiny budget cannot refute a long slide pattern: unresolved, not an error
     slide = "1" * 30 + "22" + "1" * 10 + "22" + "1" * 8 + "2"
-    budget = MembershipBudget(max_refute_depth=0, max_frontier=2)
-    cert = membership(Word(slide), Fraction(3) + Fraction(1, 6 ** 204), budget)
+    cert = membership(Word(slide), Fraction(3) + Fraction(1, 6 ** 204), max_depth=0)
     assert cert.verdict in ("out", "unresolved")
 
 
@@ -174,7 +175,7 @@ def test_budget_bounds_the_pads():
     t = parse_threshold("3+6^-6")
     w = Word("112222222112")
     assert membership(w, t).row() == (str(w), "in", "per(11222222211222222)", "")
-    cert = membership(w, t, MembershipBudget(max_refute_depth=2))
+    cert = membership(w, t, max_depth=2)
     assert cert.row() == (str(w), "unresolved", "", "2")
 
 
