@@ -65,20 +65,12 @@ class BiSeq:
         """Sequence t with t_i = s_{i+k}; the resulting value is equivalent."""
         if k == 0:
             return self
-        tr, tl = self.right_transient.digits, self.left_transient.digits
-        rp, lp = self.right_period.digits, self.left_period.digits
-        if k > 0:
-            new_tl = tl + self.segment(0, k)
-            if k < len(tr):
-                return BiSeq(self.left_period, Word(new_tl), Word(tr[k:]), self.right_period)
-            rot = (k - len(tr)) % len(rp)
-            return BiSeq(self.left_period, Word(new_tl), Word(""), Word(_rotate(rp, rot)))
-        j = -k
-        new_tr = self.segment(-j, 0) + tr
-        if j <= len(tl):
-            return BiSeq(self.left_period, Word(tl[: len(tl) - j]), Word(new_tr), self.right_period)
-        rot = (j - len(tl)) % len(lp)
-        return BiSeq(Word(_rotate(lp, len(lp) - rot)), Word(""), Word(new_tr), self.right_period)
+        if k < 0:
+            return self.transpose().shift(-k).transpose()
+        n = len(self.right_transient)
+        return BiSeq(self.left_period, Word(self.left_transient.digits + self.segment(0, k)),
+                     Word(self.segment(k, n)),
+                     Word(_rotate(self.right_period.digits, max(k, n) - n)))
 
     def transpose(self):
         """Mirror the sequence about the origin (position i maps to -1-i)."""
@@ -88,24 +80,10 @@ class BiSeq:
                      Word(self.left_period.digits[::-1]))
 
     def _tail0(self, i):
-        """[0; s_i, s_{i+1}, ...] as an exact QuadSurd."""
-        tr = self.right_transient.digits
-        rp = self.right_period.digits
-        if i >= len(tr):
-            rot = (i - len(tr)) % len(rp)
-            return eventually_periodic_value("", _rotate(rp, rot))
-        head = self.segment(i, len(tr))
-        return eventually_periodic_value(head, rp)
-
-    def forward_value(self, i):
-        """[s_i; s_{i+1}, ...] exactly."""
-        d = int(self.digit(i))
-        nxt = self.shift(i + 1) if i + 1 != 0 else self
-        return nxt._tail0(0) + d
-
-    def backward_value(self, i):
-        """[0; s_{i-1}, s_{i-2}, ...] exactly."""
-        return self.transpose()._tail0(-i)
+        """[0; s_i, s_{i+1}, ...] as an exact QuadSurd, at any position i."""
+        n = len(self.right_transient)
+        return eventually_periodic_value(self.segment(i, n),
+                                         _rotate(self.right_period.digits, max(i, n) - n))
 
     def __repr__(self):
         return "BiSeq(per(%s) %s | %s per(%s))" % (
@@ -114,35 +92,7 @@ class BiSeq:
 
 def lambda_at(s, i):
     """lambda at position i: [s_i; s_{i+1}, ...] + [0; s_{i-1}, s_{i-2}, ...]."""
-    return SurdSum.from_value(s.forward_value(i)) + s.backward_value(i)
-
-
-def _phase_sup(s, i0, step):
-    """Exact sup over k >= 0 of lambda_at(s, i0 + k*step) for positions in the
-    right periodic region, where step = |right_period|.
-
-    Returns (value, attained_index_or_None).  The forward parts of all these
-    positions coincide; the backward values form a Moebius orbit, which is
-    monotone when step is even and alternating when odd, so the sup is one of
-    {v0, v1, limit}.
-    """
-    v0 = lambda_at(s, i0)
-    v1 = lambda_at(s, i0 + step)
-    lim_seq = BiSeq.periodic(s.right_period)
-    lim = lambda_at(lim_seq, (i0 - len(s.right_transient)) % step)
-    if step % 2 == 0:
-        c = (v0 - v1).sign()
-        if c >= 0:  # non-increasing orbit: first term is the sup
-            return v0, i0
-        return lim, None  # increasing toward the periodic limit, never attained
-    # odd period: the two parity subsequences approach the limit from opposite
-    # sides, so the sup is max(v0, v1) and it is attained
-    if (v0 - v1).sign() >= 0:
-        return v0, i0
-    return v1, i0 + step
-
-
-_UNSET = object()
+    return SurdSum.from_value(s._tail0(i + 1) + int(s.digit(i))) + s.transpose()._tail0(-i)
 
 
 def _markov_periodic(period):
@@ -179,46 +129,27 @@ def _markov_periodic(period):
 def markov_value(s):
     """sup over i of lambda_at(s, i), exactly.
 
-    Positions within two periods of the transients are scanned one by one;
-    beyond them each phase of a periodic end is a Moebius orbit whose sup is
-    closed-form.  Returns (value, attained, index): attained is True when the
-    sup is achieved at a finite position (index reports one such position),
-    else the value is the periodic-limit sup and index is None.
+    Positions within two periods of the transients (the window) are scanned
+    one by one.  Beyond the window, each phase of a periodic end has a fixed
+    forward value, and its backward values form a Moebius orbit whose first
+    two terms already lie inside the window: the orbit is monotone for an
+    even period, and for an odd one its two parity subsequences approach the
+    limit monotonically from opposite sides.  So the far positions add only
+    the phase limits, whose largest is the periodic Markov value of that
+    end's period, never attained.  Returns (value, attained, index): attained
+    is True when the sup is achieved at a finite position (index reports the
+    first one in the window), else the value is the periodic-end sup and
+    index is None.
     """
     if (not s.left_transient and not s.right_transient
             and s.left_period.digits == s.right_period.digits):
         disc, c, i = _markov_periodic(s.right_period)
         return SurdSum({disc: Fraction(1, c)}), True, i
-    nl, nr = len(s.left_period), len(s.right_period)
-    lo = -(len(s.left_transient) + 2 * nl + 2)
-    hi = len(s.right_transient) + 2 * nr + 2
-
-    candidates = []  # (value, attained, index)
-    for i in range(lo, hi):
-        candidates.append((lambda_at(s, i), True, i))
-
-    # far right: one orbit per phase of the right period
-    base = len(s.right_transient)
-    for phi in range(nr):
-        i0 = hi + ((base + phi - hi) % nr)
-        val, idx = _phase_sup(s, i0, nr)
-        candidates.append((val, idx is not None, idx))
-    # far left via the mirror (position i of the transpose is -1-i here)
-    t = s.transpose()
-    tbase = len(t.right_transient)
-    thi = len(t.right_transient) + 2 * nl + 2
-    for phi in range(nl):
-        i0 = thi + ((tbase + phi - thi) % nl)
-        val, idx = _phase_sup(t, i0, nl)
-        candidates.append((val, idx is not None, -1 - idx if idx is not None else None))
-
-    best = _UNSET
-    for val, att, idx in candidates:
-        if best is _UNSET:
-            best = (val, att, idx)
-            continue
-        c = (val - best[0]).sign()
-        if c > 0 or (c == 0 and att and not best[1]):
-            best = (val, att, idx)
-    value, attained, index = best
-    return value, attained, (index if attained else None)
+    lo = -(len(s.left_transient) + 2 * len(s.left_period) + 2)
+    hi = len(s.right_transient) + 2 * len(s.right_period) + 2
+    value, index = max(((lambda_at(s, i), i) for i in range(lo, hi)), key=lambda vi: vi[0])
+    far = max(SurdSum({disc: Fraction(1, c)})
+              for disc, c, _ in map(_markov_periodic, (s.right_period, s.left_period)))
+    if far > value:
+        return far, False, None
+    return value, True, index

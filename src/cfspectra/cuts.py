@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .biseq import BiSeq, lambda_at
+from .biseq import BiSeq, lambda_at, markov_value
 from .cf import extremal_tail
 from .errors import DomainError, PreconditionUnverified, TemplateMismatch
 from .surd import SurdSum
@@ -237,7 +237,6 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
         raise DomainError("extended word must begin with the base word")
     if x not in ("1", "2"):
         raise DomainError("x must be a digit")
-    from .biseq import markov_value  # local import to avoid cycles at module load
     y = "1" if x == "2" else "2"
     pattern = x + o[::-1] + "11" + o + y
     if witness is not None:
@@ -248,15 +247,8 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
         if not mv <= t:
             raise PreconditionUnverified("witness Markov value exceeds t")
     else:
-        for lp in ("12", "21"):
-            for rp in ("12", "21"):
-                cand = BiSeq.make(lp, "", pattern, rp)
-                mv, _, _ = markov_value(cand)
-                if mv <= t:
-                    witness = cand
-                    break
-            if witness is not None:
-                break
+        closings = (BiSeq.make(lp, "", pattern, rp) for lp in ("12", "21") for rp in ("12", "21"))
+        witness = next((cand for cand in closings if markov_value(cand)[0] <= t), None)
         if witness is None:
             raise PreconditionUnverified(
                 "no periodic closing of the base cut stays below t")

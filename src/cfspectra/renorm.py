@@ -71,44 +71,25 @@ def trivial_renormalization(w):
 
 
 def _factor_over(s, a, b):
-    """Factor letter-string s over words a, b; 'a' before 'b' when both match.
+    """Factor letter-string s over words a, b; 'a' before 'b' when both parse.
 
-    Returns the mark string over {'a','b'} or None.
+    Returns the mark string over {'a','b'} or None.  Parsed right to left:
+    nxt[i] is the (mark, next position) of the preferred parse of s[i:].
     """
     n = len(s)
-    dead = set()
-    path = []
-    marks = []
-    i = 0
-    while True:
-        if i == n:
-            return "".join(marks)
-        advanced = False
-        if i not in dead:
-            if s.startswith(a, i) and (i, "a") not in dead:
-                path.append((i, "a"))
-                marks.append("a")
-                i += len(a)
-                advanced = True
-            elif s.startswith(b, i) and (i, "b") not in dead:
-                path.append((i, "b"))
-                marks.append("b")
-                i += len(b)
-                advanced = True
-        if not advanced:
-            dead.add(i)
-            if not path:
-                return None
-            j, ch = path.pop()
-            marks.pop()
-            dead.add((j, ch))
-            # after failing 'a' at j, 'b' may still be viable there
-            if ch == "a" and s.startswith(b, j) and (j, "b") not in dead:
-                path.append((j, "b"))
-                marks.append("b")
-                i = j + len(b)
-            else:
-                i = j
+    nxt = {n: None}
+    for i in range(n - 1, -1, -1):
+        for mark, w in (("a", a), ("b", b)):
+            if s.startswith(w, i) and i + len(w) in nxt:
+                nxt[i] = mark, i + len(w)
+                break
+    if 0 not in nxt:
+        return None
+    marks, i = [], 0
+    while i < n:
+        mark, i = nxt[i]
+        marks.append(mark)
+    return "".join(marks)
 
 
 def decompose_over(word, alphabet, fixed_w1=None, fixed_w2=None):

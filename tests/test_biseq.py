@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
-import pytest
+import mpmath
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cfspectra.biseq import BiSeq, lambda_at, markov_value
+from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
 from cfspectra.cf import eventually_periodic_value
 from cfspectra.surd import QuadSurd, SurdSum
 from cfspectra.words import Word
@@ -57,11 +59,13 @@ def test_markov_shift_and_transpose_invariance():
 
 
 def test_lambda_shift_identity():
-    rng = random.Random(13)
     s = BiSeq.make("21", "112", "2", "122")
-    for k in (-4, -1, 0, 2, 5):
+    for k in range(-15, 16):
+        shifted = s.shift(k)
+        for i in range(-12, 12):
+            assert shifted.digit(i) == s.digit(i + k)
         for i in (-3, 0, 4):
-            assert (lambda_at(s.shift(k), i) - lambda_at(s, i + k)).sign() == 0
+            assert (lambda_at(shifted, i) - lambda_at(s, i + k)).sign() == 0
 
 
 def test_digit_indexing_and_segments():
@@ -90,3 +94,110 @@ def test_junction_value_slightly_above_three():
     v, att, idx = markov_value(s)
     assert v > Fraction(3)
     assert (lambda_at(s, 1) - v).sign() == 0
+
+
+# Oracle for markov_value: one candidate per phase of each periodic end, the
+# phase's sup taken from its first two orbit terms past the window and its
+# limit on the periodic sequence.  markov_value keeps only the limits, as the
+# window already holds earlier terms of every such orbit.
+def _phase_sup_reference(s, i0, step):
+    v0 = lambda_at(s, i0)
+    v1 = lambda_at(s, i0 + step)
+    lim = lambda_at(BiSeq.periodic(s.right_period), (i0 - len(s.right_transient)) % step)
+    if (v0 - v1).sign() >= 0:
+        return v0, i0
+    if step % 2 == 0:
+        return lim, None  # increasing toward the periodic limit, never attained
+    return v1, i0 + step
+
+
+def _markov_value_reference(s):
+    if (not s.left_transient and not s.right_transient
+            and s.left_period.digits == s.right_period.digits):
+        disc, c, i = _markov_periodic(s.right_period)
+        return SurdSum({disc: Fraction(1, c)}), True, i
+    nl, nr = len(s.left_period), len(s.right_period)
+    lo = -(len(s.left_transient) + 2 * nl + 2)
+    hi = len(s.right_transient) + 2 * nr + 2
+    candidates = [(lambda_at(s, i), True, i) for i in range(lo, hi)]
+    base = len(s.right_transient)
+    for phi in range(nr):
+        val, idx = _phase_sup_reference(s, hi + (base + phi - hi) % nr, nr)
+        candidates.append((val, idx is not None, idx))
+    t = s.transpose()
+    tbase = len(t.right_transient)
+    thi = tbase + 2 * nl + 2
+    for phi in range(nl):
+        val, idx = _phase_sup_reference(t, thi + (tbase + phi - thi) % nl, nl)
+        candidates.append((val, idx is not None, None if idx is None else -1 - idx))
+    best = None
+    for val, att, idx in candidates:
+        if best is None:
+            best = (val, att, idx)
+            continue
+        c = (val - best[0]).sign()
+        if c > 0 or (c == 0 and att and not best[1]):
+            best = (val, att, idx)
+    value, attained, index = best
+    return value, attained, (index if attained else None)
+
+
+_periods = st.one_of(
+    st.text(alphabet="12", min_size=1, max_size=6),
+    # non-primitive periods such as 1212
+    st.builds(lambda p, k: p * k, st.text(alphabet="12", min_size=1, max_size=3),
+              st.integers(2, 6)).filter(lambda p: len(p) <= 6))
+_transients = st.text(alphabet="12", min_size=0, max_size=6)
+_biseqs = st.one_of(
+    st.builds(BiSeq.make, _periods, _transients, _transients, _periods),
+    # equal ends
+    st.builds(lambda p, l, r: BiSeq.make(p, l, r, p), _periods, _transients, _transients),
+    # mirror-symmetric: equal to its transpose
+    st.builds(lambda p, t: BiSeq.make(p[::-1], t[::-1], t, p), _periods, _transients))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_biseqs)
+@example(BiSeq.make("1212", "", "", "1212"))
+@example(BiSeq.make("1212", "2", "", "21"))
+@example(BiSeq.make("2", "", "11", "2"))
+@example(BiSeq.make("2", "", "", "2211"))
+@example(BiSeq.make("11", "", "", "1122"))
+# the sup is an orbit's second term past the transient (odd period), on
+# either side: a window one period shorter would miss it
+@example(BiSeq.make("2", "222121", "11", "12122"))
+@example(BiSeq.make("22121", "11", "121222", "2"))
+def test_markov_value_matches_phase_sup_reference(s):
+    value, attained, index = markov_value(s)
+    ref_value, ref_attained, ref_index = _markov_value_reference(s)
+    assert (str(value), attained, index) == (str(ref_value), ref_attained, ref_index)
+
+
+def _mp(x):
+    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(d)
+                       for d, c in SurdSum.from_value(x).terms)
+
+
+def _lambda_truncated(s, i, depth=160):
+    """lambda at position i from continued fractions cut after depth digits."""
+    def tail(digits):  # [0; digits...]
+        acc = mpmath.mpf(0)
+        for d in reversed(digits):
+            acc = 1 / (int(d) + acc)
+        return acc
+    fwd, bwd = s.segment(i + 1, i + 1 + depth), s.segment(i - depth, i)[::-1]
+    return int(s.digit(i)) + tail(fwd) + tail(bwd)
+
+
+def test_markov_value_against_truncated_cf():
+    cases = [BiSeq.make("1", "", "", "2"), BiSeq.make("2", "", "", "2211"),
+             BiSeq.make("21", "112", "2", "122"), BiSeq.make("1212", "2", "", "21"),
+             BiSeq.make("11", "", "", "1122"), BiSeq.make("2211", "1", "22", "12")]
+    with mpmath.workdps(60):
+        for s in cases:
+            value, attained, index = markov_value(s)
+            numeric = max(_lambda_truncated(s, i) for i in range(-90, 90))
+            assert abs(_mp(value) - numeric) < mpmath.mpf(10) ** -30
+            if attained:
+                assert abs(_mp(lambda_at(s, index)) - _mp(value)) < mpmath.mpf(10) ** -50
+                assert abs(_lambda_truncated(s, index) - _mp(value)) < mpmath.mpf(10) ** -50

@@ -1,10 +1,11 @@
 import random
+from functools import lru_cache
 
 import pytest
 
 from cfspectra.alphabets import ROOT, alphabet_from_pair, enumerate_alphabets
 from cfspectra.errors import NotRenormalizable, NoValidExtension
-from cfspectra.renorm import (decompose_over, find_alphabet, renorm_step,
+from cfspectra.renorm import (_factor_over, decompose_over, find_alphabet, renorm_step,
                               semi_renormalize, trivial_renormalization)
 from cfspectra.words import ABWord, Word
 
@@ -129,3 +130,29 @@ def test_semi_renormalize_examples():
 def test_no_valid_extension():
     with pytest.raises(NoValidExtension):
         find_alphabet(Word("21112"), 4)  # interior odd run cannot be fixed
+
+
+def _factor_over_brute(s, a, b):
+    """Least mark string over every parse of s into words a, b, or None."""
+    @lru_cache(maxsize=None)
+    def parses(i):
+        if i == len(s):
+            return ("",)
+        return tuple(mark + rest for mark, w in (("a", a), ("b", b))
+                     if s.startswith(w, i) for rest in parses(i + len(w)))
+    return min(parses(0), default=None)
+
+
+def test_factor_over_matches_brute_force():
+    rng = random.Random(34)
+    letters = lambda lo, hi: "".join(rng.choice("ab") for _ in range(rng.randrange(lo, hi)))
+    for _ in range(20000):
+        a, b = letters(1, 5), letters(1, 5)  # a == b and non-code pairs included
+        if rng.random() < 0.5:
+            s = "".join(rng.choice((a, b)) for _ in range(rng.randrange(0, 8)))
+            if s and rng.random() < 0.3:  # one letter flipped
+                k = rng.randrange(len(s))
+                s = s[:k] + rng.choice("ab") + s[k + 1:]
+        else:
+            s = letters(0, 14)
+        assert _factor_over(s, a, b) == _factor_over_brute(s, a, b), (s, a, b)
