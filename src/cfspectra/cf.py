@@ -135,6 +135,28 @@ def floor_log(x):
     return refine(decide, 64)
 
 
+def floor_exp(k):
+    """floor(e^k) for an integer k >= 0, certified by interval arithmetic.
+
+    e^k is irrational for k >= 1, so the floor is always decidable.  It has
+    about 1.44 k bits, so the endpoints are read with the exact int() of an
+    interval endpoint, never through a float or mpmath.floor, which rounds
+    at mpmath's working precision.
+    """
+    if k < 0:
+        raise DomainError("floor_exp needs k >= 0")
+    if k == 0:
+        return 1
+
+    def decide(bits):
+        with iv_prec(bits):
+            iv = mpmath.iv.exp(k)
+            lo, hi = int(iv.a), int(iv.b)
+        return lo if lo == hi else None
+
+    return refine(decide, 64 + 2 * k)
+
+
 def r_exponent(w):
     """floor(ln(1/|I(w)|)); 1/|I(w)| is a positive integer."""
     g = cf_matrix(w)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from .biseq import BiSeq, lambda_at, markov_value
 from .cf import extremal_tail
 from .errors import DomainError, PreconditionUnverified, TemplateMismatch
+from .lang import Threshold, membership
 from .surd import SurdSum
 from .words import ABWord, UVWord, Word, apply_subst
 
@@ -228,9 +229,10 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
     a word of the t-level language.
 
     The precondition is certified by a caller-supplied witness sequence whose
-    Markov value is <= t and which contains the base cut; without one, the
-    extremal periodic closings of the base pattern are tried as witnesses.
-    Returns the exact bound chain.
+    Markov value is <= t and which contains the base cut; without one, by
+    the witness of lang.membership of the base pattern when its verdict is
+    "in", which needs a t that lang.Threshold.of accepts.  Either witness is
+    rechecked through markov_value.  Returns the exact bound chain.
     """
     o, ot = str(omega), str(omega_tilde)
     if not ot.startswith(o):
@@ -243,15 +245,18 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
         probe = witness.segment(-8 * len(pattern) - 8, 8 * len(pattern) + 8)
         if pattern not in probe:
             raise PreconditionUnverified("witness does not exhibit the base cut")
-        mv, _, _ = markov_value(witness)
-        if not mv <= t:
-            raise PreconditionUnverified("witness Markov value exceeds t")
     else:
-        closings = (BiSeq.make(lp, "", pattern, rp) for lp in ("12", "21") for rp in ("12", "21"))
-        witness = next((cand for cand in closings if markov_value(cand)[0] <= t), None)
-        if witness is None:
-            raise PreconditionUnverified(
-                "no periodic closing of the base cut stays below t")
+        try:
+            th = Threshold.of(t)
+        except DomainError as exc:
+            raise PreconditionUnverified("no witness, and %s" % exc) from exc
+        cert = membership(pattern, th)
+        if cert.verdict != "in":
+            raise PreconditionUnverified("the base cut is %s at t" % cert.verdict)
+        witness = cert.witness
+    mv, _, _ = markov_value(witness)
+    if not mv <= t:
+        raise PreconditionUnverified("witness Markov value exceeds t")
     base = _cut_sup(o, x)
     ext = _cut_sup(ot, x)
     ok = (ext - t).sign() < 0

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .alphabets import ROOT, children, farey_words, theta_inverse
 from .biseq import BiSeq, _markov_periodic, markov_value
-from .cf import IDENTITY, floor_log, mat_mul, r_exponent
+from .cf import IDENTITY, cf_matrix, floor_exp, floor_log, mat_mul
 from .errors import DomainError
 from .surd import QuadSurd, SurdSum
 from .words import Word
@@ -54,13 +54,18 @@ class Threshold:
 
     Kernel form: t = num/den, or t*t = num/den when root is set; thresholds
     compare and hash by it, and every decision at t is one of the three exact
-    integer comparisons below.  value is t as given or parsed (it is printed).
+    integer comparisons below.  A rational t also keeps its excess over 3,
+    the integer excess = num - 3 den with t - 3 = excess/den: a value on the
+    other side of 3 is decided by a sign, and one nearer is compared through
+    small integers.  value is t as given or parsed (it is printed).  qmax
+    caps the block rule's cylinder denominators (see _aabb_factor).
     """
     value: object = field(compare=False)
     num: int
     den: int
     root: bool
-    rmax: int | None = field(compare=False)  # block-rule cap, see _aabb_factor
+    excess: int = field(compare=False)
+    qmax: int | None = field(compare=False)
 
     @staticmethod
     def of(x):
@@ -75,14 +80,20 @@ class Threshold:
         """num/den > t, exactly (den > 0)."""
         if self.root:
             return num > 0 and num * num * self.den > self.num * den * den
-        return num * self.den > self.num * den
+        x = num - 3 * den  # num/den - 3 = x/den
+        if x <= 0 <= self.excess:
+            return False
+        return x * self.den > self.excess * den
 
     def plus_le(self, num, den, h):
         """num/den + 1/h <= t, exactly (den, h > 0)."""
-        a, b = num * h + den, den * h
         if self.root:
+            a, b = num * h + den, den * h
             return a <= 0 or a * a * self.den <= self.num * b * b
-        return a * self.den <= self.num * b
+        x = (num - 3 * den) * h + den  # num/den + 1/h - 3 = x/(den h)
+        if x <= 0 <= self.excess:
+            return True
+        return x * self.den <= self.excess * den * h
 
     def root_le(self, D, c):
         """sqrt(D)/c <= t, exactly (D >= 0, c > 0)."""
@@ -97,14 +108,16 @@ def _threshold(x):
     if isinstance(value, QuadSurd) and value.q:
         if (value.p, value.q, value.r, value.d) != (0, 2, 1, 3):
             raise DomainError("enumeration thresholds must be rational or sqrt(12)")
-        # sqrt(12) - 3 > e^-1: only r = 0 block factors could qualify
-        return Threshold(value, 12, 1, True, 0)
+        # sqrt(12) - 3 > e^-1: only factors with r = 0, q < e, qualify
+        return Threshold(value, 12, 1, True, 0, floor_exp(1))
     f = value.as_fraction() if isinstance(value, QuadSurd) else Fraction(value)
+    num, den = f.numerator, f.denominator
     excess = f - 3
-    # the block rule refutes above 3 + e^-r, so rmax is the largest r with
-    # e^-r >= t - 3: None (no cap) for t <= 3, -1 (no block applies) for t >= 4
-    rmax = None if excess <= 0 else -1 if excess >= 1 else floor_log(1 / excess)
-    return Threshold(value, f.numerator, f.denominator, False, rmax)
+    # the block rule refutes above 3 + e^-r, so the cap is the largest r with
+    # e^-r >= t - 3, and r(w) = floor(ln q) <= r iff q <= floor(e^(r+1)):
+    # None (no cap) for t <= 3, 0 (no block applies) for t >= 4
+    qmax = None if excess <= 0 else 0 if excess >= 1 else floor_exp(floor_log(1 / excess) + 1)
+    return Threshold(value, num, den, False, num - 3 * den, qmax)
 
 
 # --------------------------------------------- admissible-tail value bounds
@@ -531,13 +544,15 @@ def _block_pattern(A, B):
     return re.compile("(?=(%s%s(?:%s|%s)*?%s%s))" % (A, A, A, B, B, B))
 
 
-def _aabb_factor(s, rmax):
+def _aabb_factor(s, qmax):
     """A factor of s or of its reversal matching the digit image of
     alpha^2 M beta^2 over an ordered alphabet (M over {alpha, beta}), whose
-    cylinder exponent is within rmax; None when absent.
+    cylinder denominator q = 1/|I| is at most qmax (None: any); None when
+    absent.
 
-    Any word containing such a factor has Markov value above 3 + e^-r, so
-    this is a certified refutation at thresholds t <= 3 + e^-r.
+    Any word containing such a factor has Markov value above 3 + e^-r,
+    r = floor(ln q), so this is a certified refutation at thresholds
+    t <= 3 + e^-r, and r <= rmax exactly when q <= floor(e^(rmax+1)).
     """
     # the cap is bucketed so that nearby lengths share one cached list
     for A, B in _alphabet_digit_pairs((len(s) + 15) // 16 * 16):
@@ -546,7 +561,10 @@ def _aabb_factor(s, rmax):
         pattern = _block_pattern(A, B)
         for target in (s, s[::-1]):
             for m in pattern.finditer(target):
-                if rmax is None or r_exponent(m[1]) <= rmax:
+                if qmax is None:
+                    return m[1]
+                _, _, g10, g11 = cf_matrix(m[1])
+                if g11 * (g10 + g11) <= qmax:
                     return m[1]
     return None
 
@@ -559,27 +577,34 @@ def membership(w, t, max_depth=28):
     language; other digits, or the empty word, raise DomainError.
 
     One decision path, in this order, at every word length:
-    In by the periodic family: the word's entry in factor_witness_map (its
-    shortest, then theta-least, family period) when that period's Markov
-    value is <= t.  In by a self-closing: per(w + pad) for the pads of
-    length 0..2 ("", 1, 2, 11, 12, 21, 22).  Out: the refutation rules on
-    the word, then a two-sided branch-and-bound refutation.  While that
-    search is at depth d >= 3 with an unrefuted context left, and below
-    max_depth, the self-closings with the pads of length d (a f^k b, see
-    _pads_by_length) are tried first.  Unresolved: the search reached
-    max_depth, or a level held more than _MAX_FRONTIER contexts.
+    1. In by the periodic family: the word's entry in factor_witness_map
+       (its shortest, then theta-least, family period) when that period's
+       Markov value is <= t.
+    2. Out at depth 0: the word's own position bound, then the block rule.
+    3. In by a self-closing: per(w + pad) for the pads of length 0..2
+       ("", 1, 2, 11, 12, 21, 22).
+    4. The two-sided branch-and-bound refutation search.  While it is at
+       depth d >= 3 with an unrefuted context left, and below max_depth,
+       the self-closings with the pads of length d (a f^k b, see
+       _pads_by_length) are tried first.  Out when every context is
+       refuted; unresolved when the search reached max_depth, or a level
+       held more than _MAX_FRONTIER contexts.
 
     The search extends the word alternately on the right and on the left.
     Every context is screened by its position bound, then by the block
     rule; a right extension grows its parent's bound by one digit
     (_bound_push), a left extension builds its bound whole (_bound_build).
+    Every test is an integer comparison (Threshold's three, and the block
+    rule's cylinder denominator against Threshold.qmax).
 
-    The pads only ever turn an unresolved word in: a witness is a
-    bi-infinite sequence with lambda <= t everywhere that contains the word,
-    so no word it certifies can also have a refutation, and the depth of an
-    "out" verdict is the same with or without them.  Tying the pad length to
-    the depth keeps words refuted at depth <= 2 free of pad work, and lets
-    max_depth bound the pads as it bounds the search.
+    The order of the witnesses and the refutations never changes a verdict:
+    a witness is a bi-infinite sequence with lambda <= t everywhere that
+    contains the word, so no word it certifies can also have a refutation,
+    and the depth of an "out" verdict is the same with or without the pads.
+    The cheap depth-0 screen goes before the short pads because it decides
+    most words that are out; tying the longer pads to the search depth keeps
+    words refuted at depth <= 2 free of their work, and lets max_depth bound
+    the pads as it bounds the search.
 
     t is anything Threshold.of accepts.  The module caches are
     functools.lru_cache objects with a finite maxsize, each with
@@ -596,25 +621,24 @@ def membership(w, t, max_depth=28):
     tables = tail_tables_for(th, len(s) + 8)
 
     cert = _family_witness(s, th)
-    if cert is None:
-        cert = _pad_witness(s, th, _PADS[0] + _PADS[1] + _PADS[2])
     if cert is not None:
         return cert
-
-    # certified refutation rules, then the two-sided search
-    rmax = th.rmax
+    qmax = th.qmax
     t = th.value
 
     def screened(bound):
         """The context's position bound, or None when it is None or the
         forbidden-block rule refutes the context."""
-        if bound is None or (rmax != -1 and _aabb_factor(bound[0], rmax) is not None):
+        if bound is None or (qmax != 0 and _aabb_factor(bound[0], qmax) is not None):
             return None
         return bound
 
     root = screened(_bound_build(s, th, tables))
     if root is None:
         return MembershipCertificate(Word(s), t, "out", refutation_depth=0)
+    cert = _pad_witness(s, th, _PADS[0] + _PADS[1] + _PADS[2])
+    if cert is not None:
+        return cert
     frontier = [root]
     depth = 0
     max_refuted = 0

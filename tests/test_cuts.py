@@ -7,7 +7,8 @@ from cfspectra.alphabets import ROOT, alphabet_from_pair
 from cfspectra.biseq import BiSeq, markov_value
 from cfspectra.cuts import (Cut, classify_cut, compare_bad_cuts,
                             forbidden_pattern_check, position_bounds, push_cut)
-from cfspectra.errors import DomainError, TemplateMismatch
+from cfspectra.errors import DomainError, PreconditionUnverified, TemplateMismatch
+from cfspectra.lang import membership
 from cfspectra.words import UVWord, Word
 
 
@@ -80,6 +81,27 @@ def test_compare_bad_cuts():
         ext = "22" + "".join(rng.choice(("11", "22")) for _ in range(rng.randrange(1, 5)))
         got = compare_bad_cuts(Word("22"), Word(ext), t, x="1", witness=wit)
         assert got.ok and got.extended_bound <= got.base_bound
+
+
+def test_compare_bad_cuts_without_witness():
+    """Without a witness the base cut's pattern x omega* 11 omega y is
+    certified by membership: 12211222 for omega = 22, x = 1 at 3 + 6^-6,
+    where every per(12)/per(21) closing has Markov value sqrt(12)."""
+    t = Fraction(3) + Fraction(1, 6 ** 6)
+    cert = membership(Word("12211222"), t)
+    assert cert.verdict == "in" and cert.verify()
+    got = compare_bad_cuts(Word("22"), Word("221122"), t, x="1")
+    assert got.ok and got.extended_bound <= got.base_bound
+    assert not compare_bad_cuts(Word("22"), Word("22"), t, x="1").ok
+    # omega = 2: the pattern 121122 is out
+    with pytest.raises(PreconditionUnverified):
+        compare_bad_cuts(Word("2"), Word("2"), t)
+    # a threshold membership cannot take needs a witness
+    mv, _, _ = markov_value(cert.witness)
+    with pytest.raises(PreconditionUnverified):
+        compare_bad_cuts(Word("22"), Word("22"), mv, x="1")
+    got = compare_bad_cuts(Word("22"), Word("22"), mv, x="1", witness=cert.witness)
+    assert got.extended_bound == got.base_bound
 
 
 def test_forbidden_patterns():

@@ -5,6 +5,7 @@ depth-tied self-closings, and the float-guided Moran roots."""
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from cfspectra import dimension, lang
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
-from cfspectra.cf import IDENTITY, iv_prec, mat_mul, r_exponent
+from cfspectra.cf import IDENTITY, floor_exp, floor_log, iv_prec, mat_mul, r_exponent
 from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum, refine
 from cfspectra.words import Word
@@ -312,7 +313,75 @@ def _block_words():
 @example("2222111122221111", None)
 @example("1111222211112222", 3)
 def test_block_factor_matches_block_walk(s, rmax):
-    assert lang._aabb_factor(s, rmax) == _aabb_factor_reference(s, rmax)
+    assert lang._aabb_factor(s, _qmax(rmax)) == _aabb_factor_reference(s, rmax)
+
+
+def _qmax(rmax):
+    """The cylinder-denominator cap of an exponent cap: r(w) <= rmax iff
+    q(w) <= floor(e^(rmax+1)) for rmax >= 0 (e^(rmax+1) is irrational);
+    None (no cap) and -1 (no block applies) map to None and 0."""
+    return None if rmax is None else 0 if rmax == -1 else floor_exp(rmax + 1)
+
+
+@pytest.mark.parametrize("rmax", list(range(13)) + [365])
+def test_qmax_is_the_integer_form_of_the_exponent_cap(rmax):
+    q = floor_exp(rmax + 1)
+    assert floor_log(q) == rmax and floor_log(q + 1) == rmax + 1
+
+
+def test_threshold_qmax():
+    th = lang.Threshold.of("3+6^-204")
+    rmax = floor_log(6 ** 204)
+    assert rmax == 365 and th.qmax == floor_exp(366) and th.qmax.bit_length() == 529
+    assert floor_log(th.qmax) == 365 and floor_log(th.qmax + 1) == 366
+    assert lang.Threshold.of("sqrt(12)").qmax == 2  # r = 0: q < e
+    assert lang.Threshold.of("3").qmax is None and lang.Threshold.of("4").qmax == 0
+    assert floor_exp(0) == 1
+    with pytest.raises(DomainError):
+        floor_exp(-1)
+
+
+def _block_factor_by_exponent(s, rmax):
+    """_aabb_factor's scan with each factor's cap read through the interval
+    r_exponent (the scan itself is checked against the block walk above)."""
+    for A, B in lang._alphabet_digit_pairs((len(s) + 15) // 16 * 16):
+        if 2 * (len(A) + len(B)) > len(s):
+            break
+        for target in (s, s[::-1]):
+            for m in lang._block_pattern(A, B).finditer(target):
+                if r_exponent(m[1]) <= rmax:
+                    return m[1]
+    return None
+
+
+def test_block_factor_cap_matches_r_exponent_on_random_words():
+    """The integer cap finds the factor that the interval r_exponent finds,
+    on 3,000 words built around block images (and plain random words),
+    at five thresholds.  Whether a word has a factor within the cap is
+    monotone in the cap."""
+    rng = random.Random(13)
+    pairs = _alphabet_digit_pairs_reference(24)
+    words = []
+    for _ in range(3000):
+        if rng.random() < 0.2:
+            words.append("".join(rng.choice("12") for _ in range(rng.randrange(4, 40))))
+            continue
+        A, B = rng.choice(pairs)
+        mid = "".join(rng.choice((A, B)) for _ in range(rng.randrange(4)))
+        side = ["".join(rng.choice("12") for _ in range(rng.randrange(6))) for _ in "lr"]
+        words.append((side[0] + A + A + mid + B + B + side[1])[:40])
+    counts = []
+    for t in ("3+6^-3", "3+6^-6", "3+6^-9", "3+6^-12", "3+6^-20"):
+        th = lang.Threshold.of(t)
+        rmax = floor_log(1 / (th.value - 3))
+        assert th.qmax == floor_exp(rmax + 1)
+        found = 0
+        for w in words:
+            got = lang._aabb_factor(w, th.qmax)
+            assert got == _block_factor_by_exponent(w, rmax), (w, t)
+            found += got is not None
+        counts.append(found)
+    assert counts == sorted(counts) and counts[0] < counts[1] < counts[-1]
 
 
 _SCREEN_THRESHOLDS = ["3", "3+6^-6", "3+6^-204", "3.05", "sqrt(12)"]
@@ -386,13 +455,12 @@ def _membership_reference(w, t, max_depth=28):
             return lang.MembershipCertificate(Word(s), th.value, "in",
                                               BiSeq.periodic(period), val)
 
-    rmax = th.rmax
     t = th.value
 
     def refuted(ctx):
         if _position_violation_reference(ctx, th, tables):
             return True
-        return rmax != -1 and lang._aabb_factor(ctx, rmax) is not None
+        return th.qmax != 0 and lang._aabb_factor(ctx, th.qmax) is not None
 
     if refuted(s):
         return lang.MembershipCertificate(Word(s), t, "out", refutation_depth=0)
@@ -479,6 +547,38 @@ def test_threshold_kernel_comparisons_are_exact(t, den, h, off, tie):
     if D == t2 * c * c:
         assert th.root_le(D, c) and SurdSum({D: Fraction(1, c)}) == SurdSum.from_value(t)
         assert not th.root_le(D + 1, c)
+
+
+_DECISION_THRESHOLDS = ["2.9", "3", "3+6^-6", "3+6^-204", "3.05", "4", "sqrt(12)"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(_DECISION_THRESHOLDS),
+       st.sampled_from([Fraction(0), Fraction(3), None]),
+       st.integers(1, 1 << 720), st.integers(1, 1 << 64),
+       st.one_of(st.integers(-3, 3), st.integers(-(1 << 720), 1 << 720)))
+@example("3+6^-6", None, 6 ** 6, 1, 0)
+@example("3", Fraction(3), 7, 2, 0)
+@example("4", Fraction(3), 1, 1, 1)
+def test_threshold_decisions_match_fraction_and_quadsurd(text, anchor, den, h, off):
+    """gt, plus_le and root_le against Fraction arithmetic (rational t) or
+    QuadSurd arithmetic (sqrt(12)), for numerators of either sign next to
+    0, 3 or t (anchor None) and far from all three: both sides of the
+    pretest against 3, and the comparison past it."""
+    th = lang.Threshold.of(text)
+    t = th.value
+    a = t if anchor is None else anchor
+
+    def exact(x):
+        return QuadSurd.from_fraction(x) if th.root else x
+
+    num = _floor_below(a, den, 0) + off
+    assert th.gt(num, den) == (exact(Fraction(num, den)) > t)
+    num = _floor_below(a, den, h) + off
+    assert th.plus_le(num, den, h) == (exact(Fraction(num, den) + Fraction(1, h)) <= t)
+    a2 = Fraction(12) if a == SQRT12 else a * a
+    D = max(math.floor(a2 * h * h) + off, 0)  # next to (a h)^2
+    assert th.root_le(D, h) == (QuadSurd(0, 1, h, D) <= t)
 
 
 @settings(max_examples=60, deadline=None)

@@ -179,6 +179,36 @@ def test_budget_bounds_the_pads():
     assert cert.row() == (str(w), "unresolved", "", "2")
 
 
+def test_decisions_make_no_interval_call(monkeypatch):
+    """Once a Threshold is built, enumeration and membership decide by
+    integer comparisons alone: neither floor_log nor r_exponent, nor an
+    mpmath interval log or exp, is called."""
+    import mpmath
+
+    from cfspectra import cf
+
+    def clear_caches():
+        for cache in (v for v in vars(lang).values() if hasattr(v, "cache_info")):
+            cache.cache_clear()
+
+    clear_caches()
+    th = Threshold.of("3+6^-6")
+    want = sigma_enumerate(th, 12).to_json()
+    clear_caches()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("interval call on the decision path")
+
+    for mod in (cf, lang):
+        for name in ("floor_log", "floor_exp", "r_exponent"):
+            monkeypatch.setattr(mod, name, forbidden, raising=False)
+    monkeypatch.setattr(mpmath.iv, "log", forbidden)
+    monkeypatch.setattr(mpmath.iv, "exp", forbidden)
+    assert sigma_enumerate(th, 12).to_json() == want
+    for w in ("22221111", "2222111122", "121", "112222222112"):
+        assert membership(w, th).verdict == ("in" if w == "112222222112" else "out")
+
+
 def test_lang_caches_bounded_and_clearable():
     t = Fraction(3) + Fraction(1, 6 ** 6)
     warm = sigma_enumerate(t, 12).to_json()
