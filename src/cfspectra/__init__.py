@@ -5,7 +5,7 @@ from .alphabets import (OrderedAlphabet, enumerate_alphabets, farey_fractions,
                         alphabet_from_pair, is_ordered_alphabet)
 from .biseq import BiSeq, lambda_at, markov_value
 from .cf import (Cylinder, cylinder, cylinder_length, eval_cf, extremal_tail,
-                 periodic_cf_value, periodic_fixpoint, r_exponent)
+                 periodic_fixpoint, r_exponent)
 from .cuts import (Cut, CutClass, classify_cut, compare_bad_cuts,
                    forbidden_pattern_check, position_bounds, push_cut)
 from .dimension import (DimBracket, certify_blocks, d_asymptotic, d_upper,

@@ -1,4 +1,4 @@
-"""Exact continued-fraction arithmetic: cylinders, periodic values, extremal tails.
+"""Exact continued-fraction arithmetic: cylinders, periodic values, tail images.
 
 Everything runs through the 2x2 integer matrix of a digit word w = d1...dk,
 
@@ -6,6 +6,8 @@ Everything runs through the 2x2 integer matrix of a digit word w = d1...dk,
 
 for which [0; w, tail] = (g00*x + g01) / (g10*x + g11) where x = [0; tail].
 In particular [0; w] = g01/g11 and |I(w)| = 1 / (g11 * (g10 + g11)).
+Every exact value of a word continued by a known tail is that Moebius image,
+tail_image, and every extremum over a range of tails is extremal_image.
 """
 
 from __future__ import annotations
@@ -43,17 +45,6 @@ def cf_matrix(w):
         d = 1 if ch == "1" else 2
         g = (g01, g00 + g01 * d, g11, g10 + g11 * d)
     return g
-
-
-def apply_moebius(g, x):
-    """(g00*x + g01)/(g10*x + g11) for x a Fraction or QuadSurd."""
-    g00, g01, g10, g11 = g
-    if isinstance(x, Fraction):
-        return Fraction(g00 * x.numerator + g01 * x.denominator,
-                        g10 * x.numerator + g11 * x.denominator)
-    num = QuadSurd(g00 * x.p + g01 * x.r, g00 * x.q, 1, x.d)
-    den = QuadSurd(g10 * x.p + g11 * x.r, g10 * x.q, 1, x.d)
-    return num / den
 
 
 def eval_cf(w):
@@ -172,49 +163,50 @@ def periodic_fixpoint(period):
     if not s:
         raise DomainError("empty period")
     g00, g01, g10, g11 = cf_matrix(s)
-    # x = (g00 x + g01)/(g10 x + g11)  =>  g10 x^2 + (g11 - g00) x - g01 = 0
+    # x = (g00 x + g01)/(g10 x + g11)  =>  g10 x^2 + (g11 - g00) x - g01 = 0;
+    # g10, g01 >= 1 make the product of the roots negative, so the + root is
+    # the one in (0, 1)
     a, b, c = g10, g11 - g00, -g01
-    disc = b * b - 4 * a * c
-    root = QuadSurd(-b, 1, 2 * a, disc)
-    if root.sign() <= 0:  # pick the root in (0, 1)
-        root = QuadSurd(-b, -1, 2 * a, disc)
-    return root
+    return QuadSurd(-b, 1, 2 * a, b * b - 4 * a * c)
+
+
+def tail_image(prefix, x):
+    """[0; prefix, X] exactly, for a QuadSurd x = [0; X]: the Moebius image
+    of x under G(prefix)."""
+    s = str(prefix)
+    if not s:
+        return x
+    g00, g01, g10, g11 = cf_matrix(s)
+    num = QuadSurd(g00 * x.p + g01 * x.r, g00 * x.q, 1, x.d)
+    den = QuadSurd(g10 * x.p + g11 * x.r, g10 * x.q, 1, x.d)
+    return num / den
+
+
+def _extremal_end(prefix, hi, lo, mode):
+    """The tail bound, hi or lo, at which [0; prefix, X] is extremal: G(prefix)
+    preserves orientation iff the prefix has even length."""
+    if mode not in ("max", "min"):
+        raise DomainError("mode must be 'max' or 'min'")
+    return hi if (mode == "max") == (len(str(prefix)) % 2 == 0) else lo
+
+
+def extremal_image(prefix, hi, lo, mode):
+    """max or min of [0; prefix, X] over the tails X with lo <= [0; X] <= hi,
+    for QuadSurd bounds attained by some tail."""
+    return tail_image(prefix, _extremal_end(prefix, hi, lo, mode))
 
 
 def eventually_periodic_value(head, period):
     """[0; head, overline(period)] exactly."""
-    x = periodic_fixpoint(period)
-    h = str(head)
-    return apply_moebius(cf_matrix(h), x) if h else x
-
-
-def periodic_cf_value(preperiod, period, integer_part=None):
-    """Exact value of [0; preperiod, overline(period)].
-
-    With integer_part = a0 the variant [a0; preperiod, overline(period)]
-    is returned instead.
-    """
-    v = eventually_periodic_value(preperiod, period)
-    if integer_part is not None:
-        v = v + Fraction(int(integer_part))
-    return v
+    return tail_image(head, periodic_fixpoint(period))
 
 
 def extremal_tail(prefix, mode):
     """Extremal value of [0; prefix, t...] over all infinite {1,2}-tails t.
 
-    Returns (tail_period, value): the optimum is attained by the alternating
-    periodic tail whose phase matches the prefix parity, and the value is the
-    exact Moebius image of [0;(12)^inf] or [0;(21)^inf].
+    Returns (tail_period, value): the free-tail case of extremal_image, whose
+    bounds [0;(21)^inf] and [0;(12)^inf] are attained by the alternating
+    periodic tails.
     """
-    if mode not in ("max", "min"):
-        raise DomainError("mode must be 'max' or 'min'")
-    s = str(prefix)
-    even = len(s) % 2 == 0  # G(prefix) preserves orientation iff even length
-    want_max = (mode == "max") == even
-    x = TAIL_MAX if want_max else TAIL_MIN
-    tail = Word("12") if want_max else Word("21")
-    value = apply_moebius(cf_matrix(s), x) if s else x
-    return tail, value
-
-
+    x = _extremal_end(prefix, TAIL_MAX, TAIL_MIN, mode)
+    return Word("12" if x is TAIL_MAX else "21"), tail_image(prefix, x)

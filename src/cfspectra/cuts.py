@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .biseq import BiSeq, lambda_at, markov_value
-from .cf import extremal_tail
+from .biseq import markov_value
+from .cf import TAIL_MAX, TAIL_MIN, extremal_tail, tail_image
 from .errors import DomainError, PreconditionUnverified, TemplateMismatch
-from .lang import Threshold, membership
+from .lang import Threshold, membership, parse_threshold
 from .surd import SurdSum
 from .words import ABWord, UVWord, Word, apply_subst
 
-THREE = Fraction(3)
 CUT_DEPTH = 14  # extension digits classify_cut tries before "unresolved"
 
 
@@ -70,10 +68,10 @@ class CutClass:
         return self.kind if self.depth is None else "%s(depth=%d)" % (self.kind, self.depth)
 
 
-def _lambda_pair(left_period, lext, body, rext, right_period, pos_l, pos_r):
-    seq = BiSeq.make(left_period, "", lext + body + rext, right_period)
-    off = len(lext)
-    return lambda_at(seq, off + pos_l), lambda_at(seq, off + pos_r)
+def _closed_lambda(w, i, left, right):
+    """lambda at position i of the word w continued on the right by a tail X
+    with [0; X] = right and on the left, read leftward, by one with value left."""
+    return int(w[i]) + tail_image(w[i + 1:], right) + tail_image(w[:i][::-1], left)
 
 
 def classify_cut(cut):
@@ -81,18 +79,19 @@ def classify_cut(cut):
 
     good: lambda < 3 at both positions for every completion (exact suprema via
     extremal tails).  bad: every completion has lambda > 3 at one of the two
-    positions (branch-and-bound over extension digits).  mixed: neither.
+    positions (branch-and-bound over extension digits).  mixed: neither, shown
+    by an extension closed by per(12) or per(21) on each side.  Every value
+    lies in Q(sqrt 3), so each comparison with 3 is an exact QuadSurd sign.
     """
     s = str(cut.word)
     m = len(cut.left)
     pos_l, pos_r = m - 1, m
     _, sup_l = position_bounds(s, pos_l)
     _, sup_r = position_bounds(s, pos_r)
-    sup_l, sup_r = SurdSum.from_value(sup_l), SurdSum.from_value(sup_r)
-    if sup_l < THREE and sup_r < THREE:
-        return CutClass("good", sup_l, sup_r)
+    sups = SurdSum.from_value(sup_l), SurdSum.from_value(sup_r)
+    if sup_l < 3 and sup_r < 3:
+        return CutClass("good", *sups)
 
-    periods = ("12", "21")
     stack = [("", "")]
     capped = False
     while stack:
@@ -101,14 +100,16 @@ def classify_cut(cut):
         pl, pr = len(lext) + pos_l, len(lext) + pos_r
         min_l, _ = position_bounds(w, pl)
         min_r, _ = position_bounds(w, pr)
-        if min_l > THREE or min_r > THREE:
+        if min_l > 3 or min_r > 3:
             continue  # every completion of this branch exceeds 3 here
-        for lp in periods:
-            for rp in periods:
-                vl, vr = _lambda_pair(lp, lext, s, rext, rp, pos_l, pos_r)
-                if vl <= THREE and vr <= THREE:
-                    return CutClass("mixed", sup_l, sup_r,
-                                    depth=len(lext) + len(rext))
+        # the closings per(12) and per(21) on each side, as tails read away
+        # from the word: per(12) is [0;(21)^inf] = TAIL_MIN on the left and
+        # [0;(12)^inf] = TAIL_MAX on the right, per(21) the other way round
+        for left in (TAIL_MIN, TAIL_MAX):
+            for right in (TAIL_MAX, TAIL_MIN):
+                if (_closed_lambda(w, pl, left, right) <= 3
+                        and _closed_lambda(w, pr, left, right) <= 3):
+                    return CutClass("mixed", *sups, depth=len(lext) + len(rext))
         if len(lext) + len(rext) >= CUT_DEPTH:
             capped = True
             continue
@@ -117,8 +118,8 @@ def classify_cut(cut):
         else:
             stack.extend([(lext, rext + "1"), (lext, rext + "2")])
     if capped:
-        return CutClass("unresolved", sup_l, sup_r, depth=CUT_DEPTH)
-    return CutClass("bad", sup_l, sup_r)
+        return CutClass("unresolved", *sups, depth=CUT_DEPTH)
+    return CutClass("bad", *sups)
 
 
 _KINDS = ("good-symmetric", "good-asymmetric", "bad-symmetric", "bad-asymmetric")
@@ -220,7 +221,7 @@ def _cut_sup(omega, x):
     y = "1" if x == "2" else "2"
     dn = "11" + o + y
     _, lo = extremal_tail(dn, "min")
-    return SurdSum.from_value(hi) + THREE - lo
+    return SurdSum.from_value(hi + 3 - lo)
 
 
 def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
@@ -232,8 +233,11 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
     Markov value is <= t and which contains the base cut; without one, by
     the witness of lang.membership of the base pattern when its verdict is
     "in", which needs a t that lang.Threshold.of accepts.  Either witness is
-    rechecked through markov_value.  Returns the exact bound chain.
+    rechecked through markov_value.  A text t is parsed once, on entry, by
+    lang.parse_threshold.  Returns the exact bound chain.
     """
+    if isinstance(t, str):
+        t = parse_threshold(t)
     o, ot = str(omega), str(omega_tilde)
     if not ot.startswith(o):
         raise DomainError("extended word must begin with the base word")

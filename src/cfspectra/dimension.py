@@ -9,7 +9,7 @@ from itertools import product
 
 import mpmath
 
-from .cf import cf_matrix, cylinder_length, apply_moebius, iv_prec, periodic_fixpoint
+from .cf import cylinder_length, extremal_image, iv_prec, periodic_fixpoint
 from .errors import DomainError, EmptyLanguage
 from .surd import SurdSum, refine
 
@@ -229,18 +229,11 @@ def certify_blocks(blocks, t):
 
     for b0 in blocks:
         for p in range(m):
-            d = int(b0[p])
-            # forward: rest of this block, then any block tail
-            rest = b0[p + 1:]
-            gf = cf_matrix(rest)
-            x = sup_f if len(rest) % 2 == 0 else inf_f
-            fwd = apply_moebius(gf, x) if rest else x
-            # backward: reversed head of this block, then any reversed-block tail
-            head = b0[:p][::-1]
-            gb = cf_matrix(head)
-            y = sup_b if len(head) % 2 == 0 else inf_b
-            bwd = apply_moebius(gb, y) if head else y
-            lam = SurdSum.from_value(fwd) + bwd + d
+            # forward: rest of this block, then any block tail; backward: the
+            # reversed head of this block, then any reversed-block tail
+            fwd = extremal_image(b0[p + 1:], sup_f, inf_f, "max")
+            bwd = extremal_image(b0[:p][::-1], sup_b, inf_b, "max")
+            lam = SurdSum.from_value(fwd) + bwd + int(b0[p])
             if (lam - t).sign() > 0:
                 return False
     return True

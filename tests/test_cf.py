@@ -4,9 +4,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cfspectra.cf import (cylinder, cylinder_length, eval_cf, extremal_tail,
-                          floor_log, periodic_cf_value, periodic_fixpoint,
+from cfspectra.cf import (cylinder, cylinder_length, eval_cf,
+                          eventually_periodic_value, extremal_image,
+                          extremal_tail, floor_log, periodic_fixpoint,
                           r_exponent)
+from cfspectra.dimension import _tail_extremes
 from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum
 from cfspectra.words import Word
@@ -123,14 +125,14 @@ def test_run_interval_closed_forms():
 def test_periodic_values():
     assert periodic_fixpoint("1") == QuadSurd(-1, 1, 2, 5)
     assert periodic_fixpoint("2") == QuadSurd(-1, 1, 1, 2)
-    assert periodic_cf_value("", "2", integer_part=2) == QuadSurd(1, 1, 1, 2)
+    assert 2 + eventually_periodic_value("", "2") == QuadSurd(1, 1, 1, 2)
     # numeric oracle at high precision
     rng = random.Random(5)
     with mpmath.workdps(60):
         for _ in range(40):
             pre = random_word(rng, rng.randrange(0, 6))
             per = random_word(rng, rng.randrange(1, 8))
-            val = periodic_cf_value(pre, per)
+            val = eventually_periodic_value(pre, per)
             seq = [int(c) for c in pre + per * 40]
             acc = mpmath.mpf(0)
             for d in reversed(seq):
@@ -157,4 +159,19 @@ def test_extremal_tail_dominates_random_continuations():
         for _ in range(8):
             cont = random_word(rng, 200)
             v = brute_cf(prefix + cont)
+            assert lo <= v <= hi
+    # the parity rule over the tails of a block set, which certify_blocks
+    # reads: extremal_image over [inf, sup] of the free block concatenations
+    # bounds every eventually periodic concatenation after the prefix
+    for _ in range(40):
+        m = rng.randrange(1, 5)
+        blocks = [random_word(rng, m) for _ in range(rng.randrange(1, 4))]
+        sup, inf = _tail_extremes(blocks)
+        prefix = random_word(rng, rng.randrange(0, 10))
+        hi = extremal_image(prefix, sup, inf, "max")
+        lo = extremal_image(prefix, sup, inf, "min")
+        for _ in range(8):
+            head = "".join(rng.choice(blocks) for _ in range(rng.randrange(0, 6)))
+            period = "".join(rng.choice(blocks) for _ in range(rng.randrange(1, 4)))
+            v = eventually_periodic_value(prefix + head, period)
             assert lo <= v <= hi

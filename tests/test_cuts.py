@@ -1,14 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cfspectra.alphabets import ROOT, alphabet_from_pair
-from cfspectra.biseq import BiSeq, markov_value
-from cfspectra.cuts import (Cut, classify_cut, compare_bad_cuts,
+from cfspectra.biseq import BiSeq, lambda_at, markov_value
+from cfspectra.cuts import (CUT_DEPTH, Cut, classify_cut, compare_bad_cuts,
                             forbidden_pattern_check, position_bounds, push_cut)
 from cfspectra.errors import DomainError, PreconditionUnverified, TemplateMismatch
 from cfspectra.lang import membership
+from cfspectra.surd import SurdSum
 from cfspectra.words import UVWord, Word
 
 
@@ -31,10 +33,60 @@ def test_position_bounds_bracket_lambda():
         i = rng.randrange(len(w))
         lo, hi = position_bounds(w, i)
         # any concrete periodic completion stays inside the bounds
-        from cfspectra.biseq import lambda_at
         seq = BiSeq.make("12", "", w, "21")
         lam = lambda_at(seq, i)
         assert lo <= lam <= hi
+
+
+def _classify_reference(cut):
+    """classify_cut with its closings built as BiSeqs and read by lambda_at:
+    (kind, depth, sup strings)."""
+    s, m = str(cut.word), len(cut.left)
+    sups = [position_bounds(s, i)[1] for i in (m - 1, m)]
+    strs = [str(SurdSum.from_value(v)) for v in sups]
+    if all(v < 3 for v in sups):
+        return "good", None, strs
+    stack, capped = [("", "")], False
+    while stack:
+        lext, rext = stack.pop()
+        w = lext + s + rext
+        ps = (len(lext) + m - 1, len(lext) + m)
+        if any(position_bounds(w, p)[0] > 3 for p in ps):
+            continue
+        for lp in ("12", "21"):
+            for rp in ("12", "21"):
+                seq = BiSeq.make(lp, "", w, rp)
+                if all(lambda_at(seq, p) <= 3 for p in ps):
+                    return "mixed", len(lext) + len(rext), strs
+        if len(lext) + len(rext) >= CUT_DEPTH:
+            capped = True
+        elif len(lext) <= len(rext):
+            stack.extend([("1" + lext, rext), ("2" + lext, rext)])
+        else:
+            stack.extend([(lext, rext + "1"), (lext, rext + "2")])
+    return ("unresolved", CUT_DEPTH, strs) if capped else ("bad", None, strs)
+
+
+def test_mixed_cut_anchors():
+    for text, depth in (("2|2111111", 9), ("2|2111122", 5), ("12|211111", 3),
+                        ("1112|2", 2), ("2|2112112", 1)):
+        got = classify_cut(Cut.parse(text))
+        assert (got.kind, got.depth) == ("mixed", depth), text
+
+
+def test_classify_cut_matches_biseq_closings():
+    rng = random.Random(43)
+    kinds = Counter()
+    for _ in range(600):
+        n = rng.randint(2, 14)
+        w = "".join(rng.choice("12") for _ in range(n))
+        k = rng.randint(1, n - 1)
+        cut = Cut(Word(w[:k]), Word(w[k:]))
+        got = classify_cut(cut)
+        want = _classify_reference(cut)
+        assert (got.kind, got.depth, [str(got.sup_left), str(got.sup_right)]) == want, str(cut)
+        kinds[got.kind] += 1
+    assert kinds["mixed"] >= 50 and kinds["good"] and kinds["bad"], kinds
 
 
 def test_push_cut_identity_and_kinds():
@@ -102,6 +154,15 @@ def test_compare_bad_cuts_without_witness():
         compare_bad_cuts(Word("22"), Word("22"), mv, x="1")
     got = compare_bad_cuts(Word("22"), Word("22"), mv, x="1", witness=cert.witness)
     assert got.extended_bound == got.base_bound
+
+
+def test_compare_bad_cuts_parses_text_threshold():
+    by_text = compare_bad_cuts(Word("22"), Word("221122"), "3+6^-6")
+    by_value = compare_bad_cuts(Word("22"), Word("221122"),
+                                Fraction(3) + Fraction(1, 6 ** 6))
+    assert by_text == by_value
+    assert by_text.ok and by_text.threshold == Fraction(3) + Fraction(1, 6 ** 6)
+    assert str(by_text.base_bound) == "881/286 + (-1/22)√3"
 
 
 def test_forbidden_patterns():
