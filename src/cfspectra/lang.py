@@ -53,12 +53,15 @@ class Threshold:
     at t read off it, built once by Threshold.of.
 
     Kernel form: t = num/den, or t*t = num/den when root is set; thresholds
-    compare and hash by it, and every decision at t is one of the three exact
-    integer comparisons below.  A rational t also keeps its excess over 3,
-    the integer excess = num - 3 den with t - 3 = excess/den: a value on the
-    other side of 3 is decided by a sign, and one nearer is compared through
-    small integers.  value is t as given or parsed (it is printed).  qmax
-    caps the block rule's cylinder denominators (see _aabb_factor).
+    compare and hash by it.  Every decision at t is exact integer
+    arithmetic, of two kinds: decide, the three-way verdict (refuted,
+    retired or live) at a position of the position-bound kernel, and
+    root_le, the comparison of a periodic witness's Markov value.  A
+    rational t also keeps its excess over 3, the integer excess = num - 3 den
+    with t - 3 = excess/den: positions carry their values as offsets from 3,
+    so a sign or a bit length settles most decisions.  value is t as given or
+    parsed (it is printed).  qmax caps the block rule's cylinder
+    denominators (see _aabb_factor).
     """
     value: object = field(compare=False)
     num: int
@@ -76,30 +79,56 @@ class Threshold:
             raise DomainError("not a threshold: %r" % (x,))
         return x if isinstance(x, Threshold) else _threshold(x)
 
-    def gt(self, num, den):
-        """num/den > t, exactly (den > 0)."""
-        if self.root:
-            return num > 0 and num * num * self.den > self.num * den * den
-        x = num - 3 * den  # num/den - 3 = x/den
-        if x <= 0 <= self.excess:
-            return False
-        return x * self.den > self.excess * den
+    def decide(self, x, den, h):
+        """The decision at a position of value v = 3 + x/den whose forward
+        cylinder has diameter 1/h (den, h > 0), exactly: 1 when v > t
+        (refuted), -1 when v + 1/h <= t (retired), else 0 (live).
 
-    def plus_le(self, num, den, h):
-        """num/den + 1/h <= t, exactly (den, h > 0)."""
+        A rational t compares x/den with e/t_den, e = excess, and
+        y/(den h) = v + 1/h - 3, y = x h + den, likewise (_product_gt): a
+        value on the other side of 3 from t is decided by a sign, and most
+        others by bit lengths.  sqrt(12) compares squares."""
         if self.root:
+            num = x + 3 * den
+            if num > 0 and num * num * self.den > self.num * den * den:
+                return 1
             a, b = num * h + den, den * h
-            return a <= 0 or a * a * self.den <= self.num * b * b
-        x = (num - 3 * den) * h + den  # num/den + 1/h - 3 = x/(den h)
-        if x <= 0 <= self.excess:
-            return True
-        return x * self.den <= self.excess * den * h
+            return -1 if a <= 0 or a * a * self.den <= self.num * b * b else 0
+        e, t_den = self.excess, self.den
+        if x <= 0 <= e:
+            # the common case near 3: v <= 3 <= t, so the verdict is y's,
+            # and live when y t_den, of at least ly + lt - 2 bits, exceeds
+            # e den h, of at most le + ld + lh bits (no product formed)
+            y = x * h + den
+            if y <= 0:
+                return -1
+            if (y.bit_length() + t_den.bit_length() - 2
+                    >= e.bit_length() + den.bit_length() + h.bit_length()):
+                return 0
+        elif _product_gt(x, t_den, e, den):
+            return 1
+        return 0 if _product_gt(x * h + den, t_den, e, den * h) else -1
 
     def root_le(self, D, c):
         """sqrt(D)/c <= t, exactly (D >= 0, c > 0)."""
         if self.root:
             return D * self.den <= self.num * c * c
         return self.num >= 0 and D * self.den * self.den <= self.num * self.num * c * c
+
+
+def _product_gt(a, b, c, d):
+    """a b > c d, exactly, for b, d > 0.  Signs decide first; then bit
+    lengths, since a product of numbers of la and lb bits has la + lb - 1 or
+    la + lb bits: sums that differ by 2 or more order the products, and only
+    inside that band are they formed."""
+    if a <= 0 <= c:
+        return False
+    if c <= 0 <= a:
+        return True
+    if a < 0:  # both negative: a b > c d iff (-c) d > (-a) b
+        a, b, c, d = -c, d, -a, b
+    k = a.bit_length() + b.bit_length() - c.bit_length() - d.bit_length()
+    return k >= 2 or k > -2 and a * b > c * d
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -445,11 +474,11 @@ def _min_tail_image(g, parity, lo, hi):
 # A position bound is the tuple (s, rev, end, back, live): the digit string
 # s; the product M(s[n-1]) .. M(s[0]) over its reversal, M(c) = (0, 1, 1, c);
 # its end run (digit, runlen, bounded); the backward tail bounds of its
-# leading run; and the live positions (i, base num, base den, forward matrix
-# M(s[i+1]) .. M(s[n-1])), the base being s[i] plus the least backward tail
-# image at i.  A bound is built whole or grown on the right, never on the
-# left: once the leading run is closed the bases never change, so one
-# retirement rule serves both.
+# leading run; and the live positions (i, beta, bd, g00, g01, g10, g11), the
+# base s[i] plus the least backward tail image at i being 3 + beta/bd and
+# (g00, g01, g10, g11) the forward matrix M(s[i+1]) .. M(s[n-1]).  A bound
+# is built whole or grown on the right, never on the left: once the leading
+# run is closed the bases never change, so one retirement rule serves both.
 
 def _bound_build(s, th, tables):
     """The position bound of the digit string s, built whole from suffix
@@ -466,7 +495,7 @@ def _bound_build(s, th, tables):
     live = []
     for i, c in enumerate(s):
         bn, bd = _min_tail_image(rev, i % 2, *back)
-        live.append((i, bn + int(c) * bd, bd, forward[i]))
+        live.append((i, bn + (int(c) - 3) * bd, bd) + forward[i])
         rev = mat_mul((0, 1, 1, int(c)), rev)
     return _bound_check(s, rev, TailTables.end_run(s), back, live, th, tables)
 
@@ -480,12 +509,14 @@ def _bound_push(bound, d, th, tables):
         return _bound_build(s + d, th, tables)
     if d != e_d and tables.run_banned(e_d, e_r):
         return None  # closing a banned interior odd run
-    gd = (0, 1, 1, int(d))
+    c = int(d)
     bn, bd = _min_tail_image(rev, len(s) % 2, *back)
-    grown = [(i, b_n, b_d, mat_mul(g, gd)) for i, b_n, b_d, g in live]
-    grown.append((len(s), bn + int(d) * bd, bd, IDENTITY))
+    # each forward matrix g becomes g M(c)
+    grown = [(i, beta, b_d, g01, g00 + c * g01, g11, g10 + c * g11)
+             for i, beta, b_d, g00, g01, g10, g11 in live]
+    grown.append((len(s), bn + (c - 3) * bd, bd) + IDENTITY)
     end = (d, e_r + 1 if d == e_d else 1, True)
-    return _bound_check(s + d, mat_mul(gd, rev), end, back, grown, th, tables)
+    return _bound_check(s + d, mat_mul((0, 1, 1, c), rev), end, back, grown, th, tables)
 
 
 def _bound_check(s, rev, end, back, live, th, tables):
@@ -493,17 +524,24 @@ def _bound_check(s, rev, end, back, live, th, tables):
     A position retires when its bound plus its forward cylinder diameter is
     <= t: growing s only narrows its forward tail inside that cylinder, and
     leaves its base alone once the leading run is closed (before that, the
-    next push builds s whole)."""
-    flo, fhi = tables.bounds(*end)
+    next push builds s whole).
+
+    At position i the least forward tail image is (g00 x + g01)/(g10 x + g11)
+    at the tail bound x = lo when s[i+1:] has even length and x = hi when
+    odd (see _min_tail_image), and the cylinder of s[i+1:] has diameter
+    1/(g11 (g10 + g11))."""
+    tails = tables.bounds(*end)
     last = len(s) - 1
+    decide = th.decide
     kept = []
     for pos in live:
-        i, bn, bd, g = pos
-        fn, fd = _min_tail_image(g, (last - i) % 2, flo, fhi)
-        num, den = bn * fd + fn * bd, bd * fd
-        if th.gt(num, den):
+        i, beta, bd, g00, g01, g10, g11 = pos
+        xn, xd = tails[(last - i) % 2]
+        fn, fd = g00 * xn + g01 * xd, g10 * xn + g11 * xd
+        verdict = decide(beta * fd + fn * bd, bd * fd, g11 * (g10 + g11))
+        if verdict > 0:
             return None
-        if not th.plus_le(num, den, g[3] * (g[2] + g[3])):
+        if verdict == 0:
             kept.append(pos)
     return s, rev, end, back, kept
 
@@ -572,7 +610,15 @@ def _aabb_factor(s, qmax):
 _MAX_FRONTIER = 8192  # contexts a search level may hold
 
 
-def membership(w, t, max_depth=28):
+def _word_tables(th, n):
+    """The tail tables for words of n digits, one rule for membership and the
+    enumerator, so that an enumerator bound serves membership: runs longer
+    than a context never gate it, so the word length bounds the useful ban
+    cap (and the bucket keeps the table cache shared)."""
+    return tail_tables_for(th, n + 8)
+
+
+def membership(w, t, max_depth=28, *, bound=None):
     """Certified membership of a finite word over {1, 2} in the level-t
     language; other digits, or the empty word, raise DomainError.
 
@@ -594,8 +640,9 @@ def membership(w, t, max_depth=28):
     Every context is screened by its position bound, then by the block
     rule; a right extension grows its parent's bound by one digit
     (_bound_push), a left extension builds its bound whole (_bound_build).
-    Every test is an integer comparison (Threshold's three, and the block
-    rule's cylinder denominator against Threshold.qmax).
+    Every test is integer arithmetic (Threshold.decide at each live
+    position, Threshold.root_le for each witness, and the block rule's
+    cylinder denominator against Threshold.qmax).
 
     The order of the witnesses and the refutations never changes a verdict:
     a witness is a bi-infinite sequence with lambda <= t everywhere that
@@ -606,9 +653,12 @@ def membership(w, t, max_depth=28):
     words refuted at depth <= 2 free of their work, and lets max_depth bound
     the pads as it bounds the search.
 
-    t is anything Threshold.of accepts.  The module caches are
-    functools.lru_cache objects with a finite maxsize, each with
-    cache_clear(); the tail tables are cached by threshold and bucketed cap.
+    t is anything Threshold.of accepts.  bound, when given, is the caller's
+    position bound of the word over _word_tables(t, len(w)), as
+    _enumerate_survivors returns it; it stands in for the depth-0 build.
+    The module caches are functools.lru_cache objects with a finite
+    maxsize, each with cache_clear(); the tail tables are cached by
+    threshold and bucketed cap.
     """
     s = str(w)
     if not s:
@@ -616,9 +666,9 @@ def membership(w, t, max_depth=28):
     if s.strip("12"):
         raise DomainError("membership of a word with digits other than 1 and 2: %r" % s)
     th = Threshold.of(t)
-    # runs longer than the word never gate a context, so the word length
-    # bounds the useful ban cap (and keeps the table cache shared)
-    tables = tail_tables_for(th, len(s) + 8)
+    tables = _word_tables(th, len(s))
+    if bound is not None and bound[0] != s:
+        raise DomainError("a position bound of %r given for %r" % (bound[0], s))
 
     cert = _family_witness(s, th)
     if cert is not None:
@@ -633,7 +683,7 @@ def membership(w, t, max_depth=28):
             return None
         return bound
 
-    root = screened(_bound_build(s, th, tables))
+    root = screened(_bound_build(s, th, tables) if bound is None else bound)
     if root is None:
         return MembershipCertificate(Word(s), t, "out", refutation_depth=0)
     cert = _pad_witness(s, th, _PADS[0] + _PADS[1] + _PADS[2])
@@ -670,8 +720,8 @@ def membership(w, t, max_depth=28):
 # ------------------------------------------------------------- enumeration
 
 def _enumerate_survivors(th, n, tables):
-    """Prefix-tree branch and bound over {1,2}^n: the length-n words whose
-    position bound (see _bound_build) survives.
+    """Prefix-tree branch and bound over {1,2}^n: the position bounds (see
+    _bound_build) of the length-n words whose bound survives.
 
     Each child grows its parent's bound by one digit on the right
     (_bound_push), so a prefix dies when it closes a banned interior odd run
@@ -683,7 +733,7 @@ def _enumerate_survivors(th, n, tables):
     while stack:
         bound = stack.pop()
         if len(bound[0]) == n:
-            out.append(bound[0])
+            out.append(bound)
             continue
         for d in "12":
             child = _bound_push(bound, d, th, tables)
@@ -694,14 +744,16 @@ def _enumerate_survivors(th, n, tables):
 
 def sigma_enumerate(t, n, max_depth=28):
     """The level-t language at length n, with per-word certificates;
-    max_depth is membership's refutation depth."""
+    max_depth is membership's refutation depth.  The enumerator reads the
+    tables membership reads (_word_tables), and each survivor's bound is
+    handed to membership for its depth-0 screen."""
     if n < 1:
         raise DomainError("n must be >= 1")
     th = Threshold.of(t)
-    survivors = _enumerate_survivors(th, n, tail_tables_for(th, n))
     words, unresolved = {}, {}
-    for w in survivors:
-        cert = membership(Word(w), th, max_depth)
+    for bound in _enumerate_survivors(th, n, _word_tables(th, n)):
+        w = bound[0]
+        cert = membership(Word(w), th, max_depth, bound=bound)
         if cert.verdict == "in":
             words[w] = cert
         elif cert.verdict == "unresolved":

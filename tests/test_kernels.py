@@ -230,34 +230,51 @@ def _aabb_factor_reference(s, rmax):
     return None
 
 
+def _image_range(g, lo, hi):
+    """The least and the greatest of (g00 x + g01)/(g10 x + g11) at the tail
+    bounds x = lo, hi (integer pairs), as integer pairs ordered by cross
+    products: the image is monotone in x, so these are its extremes over
+    [lo, hi]."""
+    g00, g01, g10, g11 = g
+    a, b = [(g00 * n + g01 * d, g10 * n + g11 * d) for n, d in (lo, hi)]
+    return (a, b) if a[0] * b[1] <= b[0] * a[1] else (b, a)
+
+
+def _exceeds(num, den, th):
+    """num/den > t in Fraction arithmetic (sqrt(12), the one irrational
+    threshold, by squares)."""
+    v = Fraction(num, den)
+    return v > 0 and v * v > 12 if th.root else v > th.value
+
+
 def _bar_violations_reference(s, th, tables):
-    t_excess = None if th.root else Fraction(th.num, th.den) - 3  # was th.excess
-    if t_excess is None:
+    if th.root:
         return False
     g11 = mat_mul((0, 1, 1, 1), (0, 1, 1, 1))
     for target in (s, s[::-1]):
         n = len(target)
-        blo, bhi = tables.bounds(*lang.TailTables.start_run(target))
-        flo, fhi = tables.bounds(*lang.TailTables.end_run(target))
+        back = tables.bounds(*lang.TailTables.start_run(target))
+        fwd = tables.bounds(*lang.TailTables.end_run(target))
         i = target.find("1122")
         while i >= 0:
             gx = g11
             for k in range(i - 1, -1, -1):
                 gx = mat_mul(gx, (0, 1, 1, int(target[k])))
-            ln, ld = lang._min_tail_image(gx, i % 2, blo, bhi)
             gy = g11
             for k in range(i + 4, n):
                 gy = mat_mul(gy, (0, 1, 1, int(target[k])))
-            rn, rd = lang._min_tail_image(gy, 1 - (n - i - 4) % 2, flo, fhi)
-            num = ln * rd - rn * ld
-            den = ld * rd
-            if num * t_excess.denominator > t_excess.numerator * den:
+            # 3 + [0;1,1,X...] - [0;1,1,Y...] at its least
+            (ln, ld), (rn, rd) = _image_range(gx, *back)[0], _image_range(gy, *fwd)[1]
+            if _exceeds(3 * ld * rd + ln * rd - rn * ld, ld * rd, th):
                 return True
             i = target.find("1122", i + 1)
     return False
 
 
 def _position_violation_reference(s, th, tables):
+    """Every position's least value over the tail bounds, s[i] plus the
+    least backward and forward images, against t in Fraction arithmetic;
+    then the 11|22 bar scan."""
     if tables.has_banned_run(s):
         return True
     n = len(s)
@@ -265,15 +282,13 @@ def _position_violation_reference(s, th, tables):
     suffix[n] = IDENTITY
     for i in range(n - 1, -1, -1):
         suffix[i] = mat_mul((0, 1, 1, int(s[i])), suffix[i + 1])
-    flo, fhi = tables.bounds(*lang.TailTables.end_run(s))
-    blo, bhi = tables.bounds(*lang.TailTables.start_run(s))
+    fwd = tables.bounds(*lang.TailTables.end_run(s))
+    back = tables.bounds(*lang.TailTables.start_run(s))
     rev = IDENTITY
     for i in range(n):
-        fn, fd = lang._min_tail_image(suffix[i + 1], (n - 1 - i) % 2, flo, fhi)
-        bn, bd = lang._min_tail_image(rev, i % 2, blo, bhi)
-        num = (fn * bd + bn * fd) + int(s[i]) * fd * bd
-        den = fd * bd
-        if th.gt(num, den):
+        fn, fd = _image_range(suffix[i + 1], *fwd)[0]
+        bn, bd = _image_range(rev, *back)[0]
+        if _exceeds(int(s[i]) * bd * fd + bn * fd + fn * bd, bd * fd, th):
             return True
         rev = mat_mul((0, 1, 1, int(s[i])), rev)
     return _bar_violations_reference(s, th, tables)
@@ -424,13 +439,52 @@ def test_position_pass_matches_position_and_bar_scans(s, t, cap):
                                "sqrt(12)"])
 def test_enumerator_keeps_exactly_the_unrefuted_words(t):
     """The prefix tree grows each bound on the right and retires positions,
-    and it keeps exactly the words the reference scans let through."""
+    and it keeps exactly the words the reference scans let through; each
+    survivor's string is read from its returned bound."""
     th = lang.Threshold.of(t)
     for n in range(1, 13):
         tables = lang.tail_tables_for(th, n)
         want = {w for w in map("".join, itertools.product("12", repeat=n))
                 if not _position_violation_reference(w, th, tables)}
-        assert set(lang._enumerate_survivors(th, n, tables)) == want, n
+        assert {b[0] for b in lang._enumerate_survivors(th, n, tables)} == want, n
+
+
+@pytest.mark.parametrize("t, lengths", [("3+6^-6", range(9, 17)),
+                                        ("3+6^-3", range(9, 17)),
+                                        ("3+6^-204", [41])])
+def test_survivor_bounds_change_no_certificate(t, lengths, monkeypatch):
+    """sigma_enumerate hands each survivor's bound to membership, read over
+    the tables membership reads (_word_tables): the bound agrees with the
+    whole build there, except that it may have retired more positions.
+    Every certificate membership gives back, "out" ones included, is the
+    one it gives the survivor alone, building the bound itself; so are the
+    rows of the returned language.  At these lengths n and n + 8 fell into
+    different table buckets before the enumerator read membership's
+    tables."""
+    th = lang.Threshold.of(t)
+    alone = lang.membership
+    for n in lengths:
+        handed = {}
+        tables = lang._word_tables(th, n)
+
+        def recorded(w, *args, bound=None, **kwargs):
+            whole = lang._bound_build(str(w), th, tables)
+            assert bound[:4] == whole[:4] and len(bound[4]) <= len(whole[4])
+            cert = alone(w, *args, bound=bound, **kwargs)
+            handed[str(w)] = cert.row()
+            return cert
+
+        monkeypatch.setattr(lang, "membership", recorded)
+        got = lang.sigma_enumerate(th, n, max_depth=10)
+        monkeypatch.setattr(lang, "membership", alone)
+        assert handed == {w: alone(w, th, 10).row() for w in handed}, n
+        assert all(handed[w] == got.words[w].row() for w in got.words)
+        assert all(handed[w] == got.unresolved[w].row() for w in got.unresolved)
+        assert {w for w, row in handed.items() if row[1] != "out"} == (
+            set(got.words) | set(got.unresolved))
+    w = min(handed)  # a bound is of one word
+    with pytest.raises(DomainError):
+        lang.membership("1" + w, th, bound=lang._bound_build(w, th, tables))
 
 
 # membership as it was before the self-closings grew with the refutation
@@ -522,24 +576,36 @@ def _sign(x, t):
     return (SurdSum.from_value(x) - SurdSum.from_value(t)).sign()
 
 
+def _decision_reference(th, x, den, h):
+    """Threshold.decide by Fraction arithmetic (rational t) or QuadSurd
+    arithmetic (sqrt(12)): 1 when v = 3 + x/den exceeds t, -1 when
+    v + 1/h <= t, else 0."""
+    v = 3 + Fraction(x, den)
+    w = v + Fraction(1, h)
+    if th.root:
+        v, w = QuadSurd.from_fraction(v), QuadSurd.from_fraction(w)
+    return 1 if v > th.value else -1 if w <= th.value else 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(_thresholds, st.integers(1, 1 << 700), st.integers(1, 1 << 700),
        st.integers(-2, 2), st.booleans())
 def test_threshold_kernel_comparisons_are_exact(t, den, h, off, tie):
-    """gt, plus_le and root_le against exact SurdSum comparison, next to t
-    and at exact ties (a rational t then gives num/den = t and
-    num/den + 1/h = t when off = 0; sqrt(D)/c = t takes D = (t c)^2, and
-    sqrt(12) is sqrt(12 c^2)/c)."""
+    """decide and root_le against exact SurdSum comparison, with v or
+    v + 1/h next to t, and at exact ties (a rational t then gives v = t,
+    which is live, and v + 1/h = t, which retires, when off = 0;
+    sqrt(D)/c = t takes D = (t c)^2, and sqrt(12) is sqrt(12 c^2)/c)."""
     th = lang.Threshold.of(t)
     if tie and isinstance(t, Fraction):
         den *= t.denominator * h
-    num = _floor_below(t, den, 0) + off
-    assert th.gt(num, den) == (_sign(Fraction(num, den), t) > 0)
-    num = _floor_below(t, den, h) + off
-    assert th.plus_le(num, den, h) == (_sign(Fraction(num, den) + Fraction(1, h), t) <= 0)
-    if tie and isinstance(t, Fraction) and off == 0:
-        assert not th.gt(t.numerator * den // t.denominator, den)
-        assert th.plus_le(num, den, h) and Fraction(num, den) + Fraction(1, h) == t
+    for near in (0, h):  # v next to t, then v + 1/h next to t
+        x = _floor_below(t, den, near) - 3 * den + off
+        v = 3 + Fraction(x, den)
+        want = 1 if _sign(v, t) > 0 else -1 if _sign(v + Fraction(1, h), t) <= 0 else 0
+        assert th.decide(x, den, h) == want
+        if tie and isinstance(t, Fraction) and off == 0:
+            assert v == t - (Fraction(1, h) if near else 0)
+            assert want == (-1 if near else 0)
     t2 = Fraction(12) if t == SQRT12 else t * t
     c = h * t2.denominator if tie else h
     D = max(math.floor(t2 * c * c) + off, 0)  # next to (t c)^2
@@ -554,31 +620,79 @@ _DECISION_THRESHOLDS = ["2.9", "3", "3+6^-6", "3+6^-204", "3.05", "4", "sqrt(12)
 
 @settings(max_examples=600, deadline=None)
 @given(st.sampled_from(_DECISION_THRESHOLDS),
-       st.sampled_from([Fraction(0), Fraction(3), None]),
+       st.sampled_from([Fraction(0), Fraction(3), None]), st.booleans(),
        st.integers(1, 1 << 720), st.integers(1, 1 << 64),
        st.one_of(st.integers(-3, 3), st.integers(-(1 << 720), 1 << 720)))
-@example("3+6^-6", None, 6 ** 6, 1, 0)
-@example("3", Fraction(3), 7, 2, 0)
-@example("4", Fraction(3), 1, 1, 1)
-def test_threshold_decisions_match_fraction_and_quadsurd(text, anchor, den, h, off):
-    """gt, plus_le and root_le against Fraction arithmetic (rational t) or
-    QuadSurd arithmetic (sqrt(12)), for numerators of either sign next to
-    0, 3 or t (anchor None) and far from all three: both sides of the
-    pretest against 3, and the comparison past it."""
+@example("3+6^-6", None, False, 6 ** 6, 1, 0)
+@example("3+6^-6", None, True, 6 ** 6, 1, 0)
+@example("3", Fraction(3), False, 7, 2, 0)
+@example("4", Fraction(3), False, 1, 1, 1)
+def test_threshold_decisions_match_fraction_and_quadsurd(text, anchor, plus, den, h, off):
+    """decide and root_le against Fraction arithmetic (rational t) or
+    QuadSurd arithmetic (sqrt(12)).  v (or v + 1/h, when plus) is drawn
+    next to 0, 3 or t (anchor None), or far from all three: x on both
+    sides of 0, v on both sides of t and v + 1/h on both sides of t."""
     th = lang.Threshold.of(text)
     t = th.value
     a = t if anchor is None else anchor
-
-    def exact(x):
-        return QuadSurd.from_fraction(x) if th.root else x
-
-    num = _floor_below(a, den, 0) + off
-    assert th.gt(num, den) == (exact(Fraction(num, den)) > t)
-    num = _floor_below(a, den, h) + off
-    assert th.plus_le(num, den, h) == (exact(Fraction(num, den) + Fraction(1, h)) <= t)
+    x = _floor_below(a, den, h if plus else 0) - 3 * den + off
+    assert th.decide(x, den, h) == _decision_reference(th, x, den, h)
     a2 = Fraction(12) if a == SQRT12 else a * a
     D = max(math.floor(a2 * h * h) + off, 0)  # next to (a h)^2
     assert th.root_le(D, h) == (QuadSurd(0, 1, h, D) <= t)
+
+
+def _extremes(bits):
+    """The least and the greatest integer of a bit length."""
+    return 1 << (bits - 1), (1 << bits) - 1
+
+
+def test_product_comparison_at_the_edges_of_the_bit_band():
+    """_product_gt orders a b and c d by bit-length sums that differ by 2 or
+    more.  At differences -2..2, with each factor the least or the greatest
+    of its bit length and a, c of either sign (or 0), it agrees with the
+    products; at differences 1 and -1 both orders occur, so deciding there
+    by bit lengths fails this test."""
+    seen = set()
+    for la, lb, lc in itertools.product((1, 2, 7, 64, 530), repeat=3):
+        for k in range(-2, 3):
+            ld = la + lb - lc - k
+            if ld < 1:
+                continue
+            for a, b, c, d in itertools.product(*map(_extremes, (la, lb, lc, ld))):
+                for a_, c_ in ((a, c), (-a, c), (a, -c), (-a, -c), (0, c), (a, 0), (0, -c)):
+                    want = a_ * b > c_ * d
+                    assert lang._product_gt(a_, b, c_, d) == want, (a_, b, c_, d)
+                    if a_ > 0 and c_ > 0:
+                        seen.add((k, want))
+    assert {(1, False), (1, True), (-1, False), (-1, True)} <= seen
+    assert (2, False) not in seen and (-2, True) not in seen
+
+
+@pytest.mark.parametrize("t", _DECISION_THRESHOLDS[:-1] + [
+    3 + Fraction(255, 1 << 20), 3 - Fraction(255, 1 << 20)], ids=str)
+def test_decide_at_the_edges_of_the_bit_band(t):
+    """Both comparisons of a rational decision, x den_t against excess den
+    (v > t) and y den_t against excess den h with y = x h + den
+    (v + 1/h <= t), at bit-length differences -3..3: den and h the least or
+    the greatest of their bit lengths, and x, or y, of either sign and next
+    to the least or the greatest of its bit length.  The last two thresholds
+    have an excess of 8 bits, the others of 1 bit."""
+    th = lang.Threshold.of(t)
+    shift = abs(th.excess).bit_length() - th.den.bit_length()
+    checked = 0
+    for ld, lh, k in itertools.product((24, 600), (1, 2, 17), range(-3, 4)):
+        for den, h in itertools.product(_extremes(ld), _extremes(lh)):
+            xs = set()
+            for m in _extremes(max(ld + shift + k, 1)):  # x next to m
+                xs.update((m - 1, m, m + 1, -m - 1, -m, -m + 1))
+            for m in _extremes(max(ld + lh + shift + k, 1)):  # y next to m
+                for y in (m, -m):
+                    xs.update(((y - den) // h, (y - den) // h + 1))
+            for x in xs:
+                assert th.decide(x, den, h) == _decision_reference(th, x, den, h), (x, den, h)
+            checked += len(xs)
+    assert checked > 2000
 
 
 @settings(max_examples=60, deadline=None)
