@@ -182,18 +182,14 @@ def tail_image(prefix, x):
     return num / den
 
 
-def _extremal_end(prefix, hi, lo, mode):
-    """The tail bound, hi or lo, at which [0; prefix, X] is extremal: G(prefix)
-    preserves orientation iff the prefix has even length."""
-    if mode not in ("max", "min"):
-        raise DomainError("mode must be 'max' or 'min'")
-    return hi if (mode == "max") == (len(str(prefix)) % 2 == 0) else lo
-
-
 def extremal_image(prefix, hi, lo, mode):
     """max or min of [0; prefix, X] over the tails X with lo <= [0; X] <= hi,
-    for QuadSurd bounds attained by some tail."""
-    return tail_image(prefix, _extremal_end(prefix, hi, lo, mode))
+    for QuadSurd bounds attained by some tail: the image of hi or lo, as
+    G(prefix) preserves orientation iff the prefix has even length."""
+    if mode not in ("max", "min"):
+        raise DomainError("mode must be 'max' or 'min'")
+    end = hi if (mode == "max") == (len(str(prefix)) % 2 == 0) else lo
+    return tail_image(prefix, end)
 
 
 def eventually_periodic_value(head, period):
@@ -202,11 +198,7 @@ def eventually_periodic_value(head, period):
 
 
 def extremal_tail(prefix, mode):
-    """Extremal value of [0; prefix, t...] over all infinite {1,2}-tails t.
-
-    Returns (tail_period, value): the free-tail case of extremal_image, whose
-    bounds [0;(21)^inf] and [0;(12)^inf] are attained by the alternating
-    periodic tails.
-    """
-    x = _extremal_end(prefix, TAIL_MAX, TAIL_MIN, mode)
-    return Word("12" if x is TAIL_MAX else "21"), tail_image(prefix, x)
+    """Extremal value of [0; prefix, t...] over all infinite {1,2}-tails t:
+    the free-tail case of extremal_image, whose bounds [0;(21)^inf] and
+    [0;(12)^inf] are attained by the alternating periodic tails."""
+    return extremal_image(prefix, TAIL_MAX, TAIL_MIN, mode)

@@ -23,11 +23,10 @@ from . import errors
 from .alphabets import enumerate_alphabets, farey_words, theta
 from .biseq import BiSeq, lambda_at, markov_value
 from .cf import cylinder, r_exponent
-from .cuts import Cut, classify_cut, push_cut
+from .cuts import PUSH_TEMPLATES, Cut, classify_cut, push_cut
 from .dimension import d_asymptotic, moran_bracket, thm2_bound
-from .lang import connecting_sequence, sigma_enumerate
+from .lang import CONNECT_KINDS, connecting_sequence, sigma_enumerate
 from .renorm import find_alphabet
-from .surd import SurdSum
 from .words import Word
 
 
@@ -50,12 +49,9 @@ def parse_sequence(text):
     return BiSeq.make(left, "", m.group("m") or "", right)
 
 
-def _fmt_exact(v, digits=7):
-    if isinstance(v, Fraction):
-        shadow = float(v)
-        return "%s ≈ %.*f" % (v, digits, shadow)
-    s = SurdSum.from_value(v)
-    return "%s ≈ %s (first %d decimals exact)" % (s, s.decimal(digits), digits)
+def _fmt_exact(v):
+    """An exact SurdSum with its first seven decimals."""
+    return "%s ≈ %s (first 7 decimals exact)" % (v, v.decimal(7))
 
 
 def _emit(args, payload, text_lines):
@@ -86,15 +82,15 @@ def cmd_eval(args):
     if args.at is not None:
         val = lambda_at(seq, args.at)
         payload = {"op": "lambda", "index": args.at, "value": str(val),
-                   "decimal": SurdSum.from_value(val).decimal(10)}
+                   "decimal": val.decimal(10)}
         return 0, payload, ["lambda at %d: %s" % (args.at, _fmt_exact(val))]
     val, attained, idx = markov_value(seq)
     if args.verify:
         shift_val, _, _ = markov_value(seq.shift(3))
         if (shift_val - val).sign() != 0:
             raise errors.SpectraError("verification failed: shift invariance")
-    payload = {"op": "markov", "value": str(SurdSum.from_value(val)),
-               "decimal": SurdSum.from_value(val).decimal(10),
+    payload = {"op": "markov", "value": str(val),
+               "decimal": val.decimal(10),
                "attained": attained, "index": idx}
     lines = ["markov value: %s" % _fmt_exact(val),
              "attained: %s%s" % (attained, "" if idx is None else " at index %d" % idx)]
@@ -201,10 +197,10 @@ def cmd_connect(args):
             raise errors.DomainError("cannot parse alphabet %r" % args.alphabet)
         alphabet = alphabet_from_pair(*pair)
     seq = connecting_sequence(args.kind, args.n, alphabet)
-    val, attained, idx = markov_value(seq)
+    val, _, _ = markov_value(seq)
     payload = {"kind": args.kind, "n": args.n, "sequence": repr(seq),
-               "markov": str(SurdSum.from_value(val)),
-               "decimal": SurdSum.from_value(val).decimal(10)}
+               "markov": str(val),
+               "decimal": val.decimal(10)}
     lines = ["sequence: %r" % seq, "markov value: %s" % _fmt_exact(val)]
     return 0, payload, lines
 
@@ -323,14 +319,11 @@ def build_parser():
     q = add("pushcut", help="push a template cut through U/V words")
     q.add_argument("--w", required=True, help="{U,V}-word")
     q.add_argument("--cut", required=True)
-    q.add_argument("--kind", required=True,
-                   choices=("good-symmetric", "good-asymmetric",
-                            "bad-symmetric", "bad-asymmetric"))
+    q.add_argument("--kind", required=True, choices=tuple(PUSH_TEMPLATES))
     q.set_defaults(fn=cmd_pushcut)
 
     q = add("connect", help="Farey connecting sequences")
-    q.add_argument("--kind", required=True,
-                   choices=("ab", "ba", "a-to-alphabet", "alphabet-to-b"))
+    q.add_argument("--kind", required=True, choices=CONNECT_KINDS)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--alphabet", default=None, help='"alpha,beta" letters')
     q.set_defaults(fn=cmd_connect)

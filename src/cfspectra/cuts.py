@@ -49,11 +49,11 @@ def position_bounds(word, i):
     independently."""
     s = str(word)
     d = int(s[i])
-    _, fmax = extremal_tail(s[i + 1:], "max")
-    _, fmin = extremal_tail(s[i + 1:], "min")
+    fmax = extremal_tail(s[i + 1:], "max")
+    fmin = extremal_tail(s[i + 1:], "min")
     back = s[:i][::-1]
-    _, bmax = extremal_tail(back, "max")
-    _, bmin = extremal_tail(back, "min")
+    bmax = extremal_tail(back, "max")
+    bmin = extremal_tail(back, "min")
     return d + fmin + bmin, d + fmax + bmax
 
 
@@ -122,12 +122,19 @@ def classify_cut(cut):
     return CutClass("bad", *sups)
 
 
-_KINDS = ("good-symmetric", "good-asymmetric", "bad-symmetric", "bad-asymmetric")
+# kind -> (l0, l1, r0, r1): the letters around w* and w in the template
+# X l0 w* l1 | r0 w r1 Y, with X and Y empty for the symmetric kinds
+PUSH_TEMPLATES = {
+    "good-symmetric": ("a", "b", "a", "b"),
+    "good-asymmetric": ("b", "a", "b", "a"),
+    "bad-symmetric": ("a", "a", "b", "b"),
+    "bad-asymmetric": ("b", "b", "a", "a"),
+}
 
 
 def _ab(side):
     try:
-        return ABWord.from_word(side)
+        return ABWord.from_word(side).letters
     except ValueError as e:
         raise TemplateMismatch("cut sides must be {a,b}-words: %s" % e)
 
@@ -136,72 +143,37 @@ def push_cut(w_uv, cut, kind):
     """Push a template cut through a {U,V}-substitution word.
 
     Templates (with w an {a,b}-word, X and Y context words):
-      bad-asymmetric   X b w* b | a w a Y   ->  b u+ W(w*) v- b | a u+ W(w) v- a
-      bad-symmetric    a w* a | b w b       ->  a u+ W(w*) v- a | b u+ W(w) v- b
-      good-asymmetric  X b w* a | b w a Y   ->  b u+ W(w*) v- a | b u+ W(w) v- a
       good-symmetric   a w* b | a w b       ->  a u+ W(w*) v- b | a u+ W(w) v- b
+      good-asymmetric  X b w* a | b w a Y   ->  b u+ W(w*) v- a | b u+ W(w) v- a
+      bad-symmetric    a w* a | b w b       ->  a u+ W(w*) v- a | b u+ W(w) v- b
+      bad-asymmetric   X b w* b | a w a Y   ->  b u+ W(w*) v- b | a u+ W(w) v- a
     where u = W(a), v = W(b); asymmetric kinds require |W(X)| >= |u| and
-    |W(Y)| >= |v| (digit lengths).
+    |W(Y)| >= |v|.  The scan takes the longest w whose template fits.
     """
-    if kind not in _KINDS:
+    if kind not in PUSH_TEMPLATES:
         raise DomainError("unknown kind %r" % kind)
+    l0, l1, r0, r1 = PUSH_TEMPLATES[kind]
     W = UVWord(str(w_uv))
     if len(W) == 0:
         return cut
-    left, right = _ab(cut.left), _ab(cut.right)
-    u, v = apply_subst(W, ABWord("a")), apply_subst(W, ABWord("b"))
-    up, vm = u.head(), v.body()
-
-    def image(x):
-        return apply_subst(W, x)
-
-    if kind.endswith("symmetric") and not kind.endswith("asymmetric"):
-        la, lb = ("a", "a") if kind == "bad-symmetric" else ("a", "b")
-        ra, rb = ("b", "b") if kind == "bad-symmetric" else ("a", "b")
-        ls, rs = left.letters, right.letters
-        if len(ls) != len(rs) or len(ls) < 2:
-            raise TemplateMismatch("symmetric template needs equal sides")
-        if not (ls[0] == la and ls[-1] == lb and rs[0] == ra and rs[-1] == rb):
-            raise TemplateMismatch("sides do not match the %s template" % kind)
-        w = ABWord(rs[1:-1])
-        if ls[1:-1] != w.transpose().letters:
-            raise TemplateMismatch("left interior is not the transposed right interior")
-        mid_t = (up + image(w.transpose()) + vm).letters
-        mid = (up + image(w) + vm).letters
-        new_left = ABWord(la + mid_t + lb)
-        new_right = ABWord(ra + mid + rb)
-        return Cut(new_left.to_word(), new_right.to_word())
-
-    # asymmetric kinds: scan for the maximal interior word w
-    bad = kind == "bad-asymmetric"
-    ls, rs = left.letters, right.letters
-    best = None
-    for k in range(min(len(ls), len(rs)) - 1, -1, -1):
-        # right side: a w a Y (bad) or b w a Y (good); left: X b w* b / X b w* a
+    ls, rs = _ab(cut.left), _ab(cut.right)
+    u, v = apply_subst(W, "a"), apply_subst(W, "b")
+    symmetric = not kind.endswith("asymmetric")
+    for k in range(min(len(ls), len(rs)) - 2, -1, -1):
         w = rs[1:1 + k]
-        lworld = ls[: len(ls) - (k + 2)]
-        l_tmpl = ("b" + w[::-1] + ("b" if bad else "a"))
-        if not ls.endswith(l_tmpl):
+        if not (ls.endswith(l0 + w[::-1] + l1) and rs.startswith(r0 + w + r1)):
             continue
-        if rs[0] != ("a" if bad else "b") or len(rs) < k + 2 or rs[k + 1] != "a":
-            continue
-        X, Y = ABWord(lworld), ABWord(rs[k + 2:])
-        if 2 * len(image(X)) < 2 * len(u) or 2 * len(image(Y)) < 2 * len(v):
-            continue
-        best = ABWord(w)
-        break
-    if best is None:
-        raise TemplateMismatch("cut does not contain the %s template" % kind)
-    w = best
-    mid_t = (up + image(w.transpose()) + vm).letters
-    mid = (up + image(w) + vm).letters
-    if bad:
-        new_left = ABWord("b" + mid_t + "b")
-        new_right = ABWord("a" + mid + "a")
+        X, Y = ls[:len(ls) - k - 2], rs[k + 2:]
+        if (not X and not Y) if symmetric else (
+                len(apply_subst(W, X)) >= len(u) and len(apply_subst(W, Y)) >= len(v)):
+            break
     else:
-        new_left = ABWord("b" + mid_t + "a")
-        new_right = ABWord("b" + mid + "a")
-    return Cut(new_left.to_word(), new_right.to_word())
+        raise TemplateMismatch("cut does not contain the %s template" % kind)
+
+    def side(a, x, b):
+        return ABWord(a + (u.head() + apply_subst(W, x) + v.body()).letters + b).to_word()
+
+    return Cut(side(l0, w[::-1], l1), side(r0, w, r1))
 
 
 @dataclass(frozen=True)
@@ -217,10 +189,10 @@ def _cut_sup(omega, x):
     the lambda value at the cut a omega y of ... x omega* b | a omega y ..."""
     o = str(omega)
     up = "11" + o + x
-    _, hi = extremal_tail(up, "max")
+    hi = extremal_tail(up, "max")
     y = "1" if x == "2" else "2"
     dn = "11" + o + y
-    _, lo = extremal_tail(dn, "min")
+    lo = extremal_tail(dn, "min")
     return SurdSum.from_value(hi + 3 - lo)
 
 

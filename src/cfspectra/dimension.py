@@ -203,8 +203,18 @@ def d_upper(t, m):
 
 def _tail_extremes(blocks):
     """Exact sup and inf of [0; X] over infinite free concatenations X of the
-    blocks: the optimum is at most 2-periodic in the blocks, so it is the
-    extreme fixed point over ordered block pairs."""
+    blocks, for blocks of one parity.
+
+    The block map x -> [0; b, x] preserves orientation iff |b| is even, so
+    when every block has the same parity all maps share one orientation.
+    Then sup = f_b(sup) for some b if they increase, and sup = f_b(inf),
+    inf = f_c(sup) for some b, c if they decrease: the optimum is at most
+    2-periodic in the blocks, the extreme fixed point over ordered block
+    pairs.  With mixed parity this fails: the extremes are 2-periodic only
+    after a preperiod of one block (for {2, 11} the least tail is
+    [0; 2, (11)^inf], below every pair fixed point), so a caller must keep
+    the parity equal; equal lengths guarantee it.
+    """
     vals = [periodic_fixpoint(b1 + b2) for b1 in blocks for b2 in blocks]
     return max(vals), min(vals)
 
@@ -215,7 +225,10 @@ def certify_blocks(blocks, t):
 
     Closed form: each position's sup of lambda is read off the exact tail
     extremes over block concatenations, so boundary thresholds (for example
-    t equal to the system's Markov value) certify.
+    t equal to the system's Markov value) certify.  Those extremes are the
+    pair fixed points of _tail_extremes only when all block maps share one
+    orientation, that is, all blocks have the same parity; the equal-length
+    check below guarantees it, and unequal lengths raise DomainError.
     """
     blocks = sorted(str(b) for b in blocks)
     if not blocks:

@@ -9,7 +9,6 @@ depth, and Unresolved is a first-class verdict.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from .alphabets import ROOT, children, farey_words, theta_inverse
 from .biseq import BiSeq, _markov_periodic, markov_value
 from .cf import IDENTITY, cf_matrix, floor_exp, floor_log, mat_mul
 from .errors import DomainError
-from .surd import QuadSurd, SurdSum
+from .surd import QuadSurd
 from .words import Word
 
 
@@ -357,7 +356,6 @@ class MembershipCertificate:
     threshold: object
     verdict: str                  # "in" | "out" | "unresolved"
     witness: BiSeq | None = None  # for "in": contains word starting at position 0
-    value: SurdSum | None = None  # Markov value of the witness
     refutation_depth: int | None = None
 
     def verify(self):
@@ -399,9 +397,6 @@ class LanguageSet:
             (self.words.get(w) or self.unresolved[w]).row()
             for w in sorted(self.words) + sorted(self.unresolved)]
 
-    def to_csv(self):
-        return "".join(",".join(row) + "\n" for row in self.rows())
-
     def to_json_obj(self):
         return {
             "n": self.n,
@@ -411,17 +406,11 @@ class LanguageSet:
             "unresolved": [self.unresolved[w].row() for w in sorted(self.unresolved)],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
-
-def _periodic_witness(period, offset, word, th, dc):
-    """The "in" certificate per(period) read from offset, with its Markov
-    value sqrt(D)/c, dc = (D, c)."""
-    D, c = dc
+def _periodic_witness(period, offset, word, th):
+    """The "in" certificate per(period) read from offset."""
     seq = BiSeq.periodic(period[offset:] + period[:offset])
-    return MembershipCertificate(Word(word), th.value, "in", seq,
-                                 SurdSum({D: Fraction(1, c)}))
+    return MembershipCertificate(Word(word), th.value, "in", seq)
 
 
 def _family_witness(s, th):
@@ -431,10 +420,9 @@ def _family_witness(s, th):
     if hit is None:
         return None
     period, off = hit
-    dc = period_markov(period)
-    if not th.root_le(*dc):
+    if not th.root_le(*period_markov(period)):
         return None
-    return _periodic_witness(period, off, s, th, dc)
+    return _periodic_witness(period, off, s, th)
 
 
 def _pads_by_length():
@@ -454,9 +442,8 @@ def _pad_witness(s, th, pads):
     Markov value is <= t; else None."""
     for pad in pads:
         period = s + pad
-        dc = period_markov(period)
-        if th.root_le(*dc):
-            return _periodic_witness(period, 0, s, th, dc)
+        if th.root_le(*period_markov(period)):
+            return _periodic_witness(period, 0, s, th)
     return None
 
 
@@ -789,26 +776,22 @@ def connecting_sequence(kind, n, alphabet=None):
     """
     if kind not in CONNECT_KINDS:
         raise DomainError("unknown connecting kind %r" % kind)
-    if kind == "ba":
-        return connecting_sequence("ab", n).transpose()
-    if kind == "ab":
-        if n < 1:
-            raise DomainError("n must be >= 1")
-        mid = "".join(str(w.to_word()) for w in farey_words(n))
-        return BiSeq.make("2", "", mid, "1")
-    if alphabet is None:
+    if kind in ("a-to-alphabet", "alphabet-to-b") and alphabet is None:
         raise DomainError("alphabet kinds need an alphabet")
     if n < 1:
         raise DomainError("n must be >= 1")
+    if kind == "ba":
+        return connecting_sequence("ab", n).transpose()
+    if kind == "ab":
+        mid = "".join(str(w.to_word()) for w in farey_words(n))
+        return BiSeq.make("2", "", mid, "1")
     cat = alphabet.concat()
-    if kind == "a-to-alphabet":
-        target = alphabet.alpha + cat * n
-        fw = farey_words(len(target))
-        idx = next(i for i, w in enumerate(fw) if w.letters == target.letters)
-        mid = "".join(str(w.to_word()) for w in fw[: idx + 1])
-        return BiSeq.make("2", "", mid, str(cat.to_word()))
-    target = cat * n + alphabet.beta
+    period = str(cat.to_word())
+    to_alphabet = kind == "a-to-alphabet"
+    target = alphabet.alpha + cat * n if to_alphabet else cat * n + alphabet.beta
     fw = farey_words(len(target))
     idx = next(i for i, w in enumerate(fw) if w.letters == target.letters)
-    mid = "".join(str(w.to_word()) for w in fw[idx:])
-    return BiSeq.make(str(cat.to_word()), "", mid, "1")
+    chain = fw[: idx + 1] if to_alphabet else fw[idx:]
+    mid = "".join(str(w.to_word()) for w in chain)
+    return BiSeq.make("2" if to_alphabet else period, "", mid,
+                      period if to_alphabet else "1")

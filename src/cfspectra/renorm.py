@@ -28,10 +28,6 @@ class WeakRenormalization:
         return ABWord("".join(a if c == "a" else b for c in self.kernel_letters))
 
     @property
-    def kernel_factorization(self):
-        return tuple("alpha" if c == "a" else "beta" for c in self.kernel_letters)
-
-    @property
     def word(self):
         return self.w1 + self.kernel + self.w2
 

@@ -251,19 +251,24 @@ class SurdSum:
         return float((lo + hi) / 2)
 
     def decimal(self, digits=12):
-        """Certified decimal string with the stated number of fractional digits."""
+        """Certified decimal string with the stated number of fractional
+        digits: the value truncated toward zero, signed as the value is, so
+        a value in (-10^-digits, 0) prints as -0.00...0."""
         scale = 10 ** digits
 
         def decide(bits):
             lo, hi = self._bounds(bits)
+            if lo < 0 < hi:
+                return None  # the sign is not decided yet
+            neg = lo < 0
+            if neg:
+                lo, hi = -hi, -lo
             a = math.floor(lo * scale)
             if a != math.floor(hi * scale):
                 # a rational value has lo == hi; an irrational one is never
-                # on a decimal boundary, so refinement always separates
+                # zero or on a decimal boundary, so refinement always separates
                 return None
-            sign = "-" if a < 0 else ""
-            a = abs(a)
-            return "%s%d.%0*d" % (sign, a // scale, digits, a % scale)
+            return "%s%d.%0*d" % ("-" if neg else "", a // scale, digits, a % scale)
 
         return refine(decide, 16)
 

@@ -141,12 +141,11 @@ def test_periodic_values():
 
 
 def test_extremal_tail_examples():
-    tail, val = extremal_tail("", "max")
-    assert str(tail) == "12" and val == QuadSurd(-1, 1, 1, 3)
-    tail, val = extremal_tail("", "min")
-    assert str(tail) == "21" and val == QuadSurd(-1, 1, 2, 3)
+    # [0;(12)^inf] and [0;(21)^inf], the alternating periodic tails
+    assert extremal_tail("", "max") == QuadSurd(-1, 1, 1, 3) == periodic_fixpoint("12")
+    assert extremal_tail("", "min") == QuadSurd(-1, 1, 2, 3) == periodic_fixpoint("21")
     # one-step reciprocal monotonicity
-    _, v2 = extremal_tail("2", "max")
+    v2 = extremal_tail("2", "max")
     assert v2 == 1 / (QuadSurd(-1, 1, 2, 3) + 2)
 
 
@@ -154,8 +153,8 @@ def test_extremal_tail_dominates_random_continuations():
     rng = random.Random(6)
     for _ in range(25):
         prefix = random_word(rng, rng.randrange(0, 10))
-        _, hi = extremal_tail(prefix, "max")
-        _, lo = extremal_tail(prefix, "min")
+        hi = extremal_tail(prefix, "max")
+        lo = extremal_tail(prefix, "min")
         for _ in range(8):
             cont = random_word(rng, 200)
             v = brute_cf(prefix + cont)

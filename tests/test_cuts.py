@@ -1,17 +1,19 @@
 import random
 from collections import Counter
+from itertools import product
 from fractions import Fraction
 
 import pytest
 
 from cfspectra.alphabets import ROOT, alphabet_from_pair
 from cfspectra.biseq import BiSeq, lambda_at, markov_value
-from cfspectra.cuts import (CUT_DEPTH, Cut, classify_cut, compare_bad_cuts,
-                            forbidden_pattern_check, position_bounds, push_cut)
+from cfspectra.cuts import (CUT_DEPTH, PUSH_TEMPLATES, Cut, classify_cut,
+                            compare_bad_cuts, forbidden_pattern_check,
+                            position_bounds, push_cut)
 from cfspectra.errors import DomainError, PreconditionUnverified, TemplateMismatch
 from cfspectra.lang import membership
 from cfspectra.surd import SurdSum
-from cfspectra.words import UVWord, Word
+from cfspectra.words import ABWord, UVWord, Word, apply_subst
 
 
 def test_classification_anchors():
@@ -117,6 +119,91 @@ def test_push_cut_template_mismatch():
         push_cut(UVWord("U"), Cut.parse("2211|2211"), "bad-symmetric")
     with pytest.raises(DomainError):
         push_cut(UVWord("U"), Cut.parse("2211|2211"), "sideways")
+
+
+# push_cut as it was with a separate branch for the symmetric kinds
+def _push_cut_reference(w_uv, cut, kind):
+    if kind not in PUSH_TEMPLATES:
+        raise DomainError("unknown kind %r" % kind)
+    W = UVWord(str(w_uv))
+    if len(W) == 0:
+        return cut
+    try:
+        left, right = ABWord.from_word(cut.left), ABWord.from_word(cut.right)
+    except ValueError as e:
+        raise TemplateMismatch(str(e))
+    u, v = apply_subst(W, ABWord("a")), apply_subst(W, ABWord("b"))
+    up, vm = u.head(), v.body()
+
+    def image(x):
+        return apply_subst(W, x)
+
+    if kind.endswith("symmetric") and not kind.endswith("asymmetric"):
+        la, lb = ("a", "a") if kind == "bad-symmetric" else ("a", "b")
+        ra, rb = ("b", "b") if kind == "bad-symmetric" else ("a", "b")
+        ls, rs = left.letters, right.letters
+        if len(ls) != len(rs) or len(ls) < 2:
+            raise TemplateMismatch("symmetric template needs equal sides")
+        if not (ls[0] == la and ls[-1] == lb and rs[0] == ra and rs[-1] == rb):
+            raise TemplateMismatch("sides do not match the %s template" % kind)
+        w = ABWord(rs[1:-1])
+        if ls[1:-1] != w.transpose().letters:
+            raise TemplateMismatch("left interior is not the transposed right interior")
+        mid_t = (up + image(w.transpose()) + vm).letters
+        mid = (up + image(w) + vm).letters
+        return Cut(ABWord(la + mid_t + lb).to_word(), ABWord(ra + mid + rb).to_word())
+
+    bad = kind == "bad-asymmetric"
+    ls, rs = left.letters, right.letters
+    best = None
+    for k in range(min(len(ls), len(rs)) - 1, -1, -1):
+        w = rs[1:1 + k]
+        lworld = ls[: len(ls) - (k + 2)]
+        l_tmpl = ("b" + w[::-1] + ("b" if bad else "a"))
+        if not ls.endswith(l_tmpl):
+            continue
+        if rs[0] != ("a" if bad else "b") or len(rs) < k + 2 or rs[k + 1] != "a":
+            continue
+        X, Y = ABWord(lworld), ABWord(rs[k + 2:])
+        if 2 * len(image(X)) < 2 * len(u) or 2 * len(image(Y)) < 2 * len(v):
+            continue
+        best = ABWord(w)
+        break
+    if best is None:
+        raise TemplateMismatch("cut does not contain the %s template" % kind)
+    w = best
+    mid_t = (up + image(w.transpose()) + vm).letters
+    mid = (up + image(w) + vm).letters
+    if bad:
+        return Cut(ABWord("b" + mid_t + "b").to_word(), ABWord("a" + mid + "a").to_word())
+    return Cut(ABWord("b" + mid_t + "a").to_word(), ABWord("b" + mid + "a").to_word())
+
+
+def test_push_cut_matches_two_branch_reference():
+    """One template scan for all four kinds gives the old two-branch result:
+    every {a,b}-side of 1-4 letters on each side, every kind, and every
+    {U,V}-word of length <= 2, the empty word included."""
+    sides = [ABWord("".join(p)).to_word() for k in range(1, 5)
+             for p in product("ab", repeat=k)]
+    uv_words = [UVWord("".join(p)) for k in range(3) for p in product("UV", repeat=k)]
+    outcomes = Counter()
+    for kind in PUSH_TEMPLATES:
+        for left in sides:
+            for right in sides:
+                cut = Cut(left, right)
+                for W in uv_words:
+                    try:
+                        want = _push_cut_reference(W, cut, kind)
+                    except TemplateMismatch:
+                        with pytest.raises(TemplateMismatch):
+                            push_cut(W, cut, kind)
+                        outcomes["mismatch"] += 1
+                        continue
+                    assert push_cut(W, cut, kind) == want, (kind, str(cut), str(W))
+                    if len(W):
+                        outcomes[kind] += 1
+    # every kind pushes some cut through a nonempty word
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 20, outcomes
 
 
 def test_compare_bad_cuts():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cfspectra.dimension import (C0, certify_blocks, d_asymptotic, d_upper,
-                                 lambert_inv, moran_bracket, thm2_bound)
+from cfspectra.cf import eventually_periodic_value
+from cfspectra.dimension import (C0, _tail_extremes, certify_blocks, d_asymptotic,
+                                 d_upper, lambert_inv, moran_bracket, thm2_bound)
 from cfspectra.errors import DomainError, EmptyLanguage
 from cfspectra.lang import parse_threshold, sigma_enumerate
 from cfspectra.surd import QuadSurd
@@ -44,6 +45,23 @@ def test_moran_guards():
     for level in (0, -2):  # level 0 would be the one cylinder of the empty word
         with pytest.raises(DomainError, match="level must be >= 1"):
             moran_bracket(["1"], level=level)
+
+
+def test_tail_extremes_need_blocks_of_one_parity():
+    """The pair-fixed-point rule misses the extremes of mixed-parity block
+    sets, whose extreme tails have a preperiod of one block; certify_blocks
+    therefore keeps equal lengths."""
+    sup, inf = _tail_extremes(["2", "11"])
+    assert inf == QuadSurd(-2, 1, 3, 10)  # [0; (211)^inf] = 0.387425...
+    least = eventually_periodic_value("2", "11")  # [0; 2, (11)^inf]
+    assert least == QuadSurd(3, -1, 2, 5) and least < inf  # 0.381966...
+    sup, inf = _tail_extremes(["1", "22"])
+    assert sup == QuadSurd(-5, 1, 6, 85)  # [0; (122)^inf] = 0.703257...
+    greatest = eventually_periodic_value("1", "22")  # [0; 1, (22)^inf]
+    assert greatest == QuadSurd(0, 1, 2, 2) and greatest > sup  # √2/2
+    for blocks in (["2", "11"], ["1", "22"]):
+        with pytest.raises(DomainError, match="equal length"):
+            certify_blocks(blocks, parse_threshold("sqrt(12)"))
 
 
 def test_certify_blocks_examples():

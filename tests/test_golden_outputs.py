@@ -1,0 +1,77 @@
+"""Golden outputs: the sha256 of the CLI's stdout, with its exit code, for a
+fixed set of commands.
+
+`cli.main` runs in-process with stdout redirected, so the whole set takes
+about two seconds.  The digests pin every output byte of commands that cover
+each subcommand family (sigma in all three formats, eval, cuts, one pushcut
+per template kind and one template mismatch, connect, dim, renorm, interval).
+A change that is meant to alter output updates the digest here and records
+the output change in CHANGES.md; any other digest change is a regression.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from cfspectra import cli
+
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+GOLDEN = [
+    (("sigma", "--t", "3+6^-204", "--n", "34", "-f", "json"),
+     0, "1eb0608861c4ef7cee4f9b2354954a0e1318c7920bae27502c4ae2c713cc1fa3"),
+    (("sigma", "--t", "3+6^-6", "--n", "12", "-f", "csv"),
+     0, "bc7f8f53f50183ee5455f74e0315e59e19b7831554630cc38176b2494d40a8a4"),
+    (("sigma", "--t", "3", "--n", "16", "-f", "json"),
+     0, "43b9d53a1163100cefb44d956e67b7189b4b17b12ed1d4bda35ea61b1c80ba2d"),
+    (("sigma", "--t", "sqrt(12)", "--n", "5", "-f", "json"),
+     0, "35f06fbfcf33e6b099c5fa8188fc665e8e227494f1e1eb3f065229f32ed6d8c3"),
+    (("sigma", "--t", "3.05", "--n", "10", "-f", "csv"),
+     0, "b632a2b281e6d2705eae776300f78ba367757ed92aff4a2e057e63f13e552ded"),
+    (("sigma", "--t", "3+6^-3", "--n", "9", "-f", "csv"),
+     0, "c534d2c7a92cb0503872f9c389783fa3ae21ab1c491ab8a262e2ac294b59f7f8"),
+    (("eval", "--seq", "per(2211)"),
+     0, "9e0a7dc3fda9186d3157bd66ae2c0145508fb0ae7e1a70ec597e720e7944e4a8"),
+    (("eval", "--seq", "l:per(1) mid(22) r:per(1)", "--at", "0"),
+     0, "b170caa20e8a1a1c48cda42765c96aef2cea2da72656fd45ca2fad0a4928dfbc"),
+    (("cuts", "--cut", "2211|2211"),
+     0, "736d92fc3fb348fe47ba76ac2e658336d79c0784a6e340915003adf9d6d88fd1"),
+    (("cuts", "--cut", "2|2111111"),
+     0, "a4d48acaafe3f613eef350246f528540740bbf5d47b7ef0e62dedb979174d86e"),
+    (("pushcut", "--w", "UV", "--cut", "2211|2211", "--kind", "good-symmetric"),
+     0, "853170caf9627d000c2a96f53872673ecf34df9a9387091340a7ff57e6734f78"),
+    (("pushcut", "--w", "UV", "--cut", "22111122|11222211",
+      "--kind", "good-asymmetric"),
+     0, "d4f97a0f21efbf298e62874ae65a702605b6ef6c6a43e1e93af2034b61a1fcbc"),
+    (("pushcut", "--w", "UV", "--cut", "2222|1111", "--kind", "bad-symmetric"),
+     0, "299de9d09a01d5f603b44936855572bcf4cc2afaedd968a727b865935148bd66"),
+    (("pushcut", "--w", "UV", "--cut", "22111111|22222211",
+      "--kind", "bad-asymmetric"),
+     0, "ecfedea68a641ac37f7bb8480af12cc186b14109e6c4c1cbeda50dd481af2b1f"),
+    (("pushcut", "--w", "U", "--cut", "2211|2211", "--kind", "bad-symmetric"),
+     1, EMPTY),
+    (("connect", "--kind", "ab", "--n", "5"),
+     0, "f7877db86b08710c7d75345c7121c7669398593cc5e3f2ef9b7a51c5f55cea0d"),
+    (("connect", "--kind", "a-to-alphabet", "--n", "4", "--alphabet", "ab,b"),
+     0, "938725ebfcc64136a5c445b12965bc10515c4f19bbecf756076b0d5c3268ca57"),
+    (("connect", "--kind", "alphabet-to-b", "--n", "4", "--alphabet", "ab,b"),
+     0, "04584ff12ed7ec87696d2a035ca7196a9339313ef6b9ab53e571f36714a92dfa"),
+    (("dim", "--blocks", "1,2", "--level", "8", "-f", "json"),
+     0, "3429eae487032f485c0eeb9b35969600a4e47999dc621486cc907a688ad0e9e6"),
+    (("renorm", "--word", "221122112211", "--n", "6"),
+     0, "4c2410d577dfeeefeb73545a7327916acbf1e047ccd8d6ddcba15eb185c18511"),
+    (("interval", "--word", "2211"),
+     0, "765a70b05c54d541a4bff71172d067b2cedbdca86894154fa46ceba720c3d124"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_golden_output(argv, code, digest):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        got = cli.main(list(argv))
+    assert (got, hashlib.sha256(buf.getvalue().encode()).hexdigest()) == (code, digest)

@@ -507,7 +507,7 @@ def _membership_reference(w, t, max_depth=28):
         val, _, _ = markov_value(BiSeq.periodic(period))
         if (val - SurdSum.from_value(th.value)).sign() <= 0:
             return lang.MembershipCertificate(Word(s), th.value, "in",
-                                              BiSeq.periodic(period), val)
+                                              BiSeq.periodic(period))
 
     t = th.value
 

@@ -42,7 +42,7 @@ def test_entry_points_agree_on_threshold_forms():
     rows = [[membership(Word(w), t).row() for w in words] for t in forms]
     assert rows[0] == rows[1] == rows[2]
     langs = [sigma_enumerate(t, 10) for t in forms]
-    assert langs[0].to_json() == langs[1].to_json() == langs[2].to_json()
+    assert langs[0].to_json_obj() == langs[1].to_json_obj() == langs[2].to_json_obj()
     assert len({d_upper(t, 8) for t in forms}) == 1
     with pytest.raises(DomainError):
         membership(Word("2211"), QuadSurd(0, 1, 1, 11))
@@ -59,10 +59,11 @@ def test_membership_examples():
     cert = membership(Word("2211"), Fraction(3))
     assert cert.verdict == "in"
     assert str(cert.witness.right_period) == "2211"  # minimal period witness
-    assert cert.value == QuadSurd(0, 1, 5, 221)
+    value, _, _ = markov_value(cert.witness)
+    assert value == QuadSurd(0, 1, 5, 221)
     assert cert.verify()
     # verify takes any exact threshold, here the witness's own Markov value
-    assert lang.MembershipCertificate(cert.word, cert.value, "in", cert.witness).verify()
+    assert lang.MembershipCertificate(cert.word, value, "in", cert.witness).verify()
     # the aa bb block is refuted even slightly above 3
     from cfspectra.cf import r_exponent
     w = Word("22221111")
@@ -114,11 +115,11 @@ def test_certificates_and_serialization():
     for w, cert in ls.words.items():
         assert cert.verify()
         assert cert.witness.segment(0, 5) == w
-    csv = ls.to_csv()
-    assert csv.splitlines()[0] == "word,verdict,witness-period,refutation-depth"
-    assert len(csv.splitlines()) == len(ls.words) + 1
-    obj = json.loads(ls.to_json())
-    assert obj["count"] == len(ls.words)
+    rows = ls.rows()
+    assert rows[0] == ("word", "verdict", "witness-period", "refutation-depth")
+    assert len(rows) == len(ls.words) + 1
+    obj = json.loads(json.dumps(ls.to_json_obj()))
+    assert obj["count"] == len(ls.words) == len(obj["words"])
 
 
 def test_membership_odd_run_and_slide_refutations():
@@ -193,7 +194,7 @@ def test_decisions_make_no_interval_call(monkeypatch):
 
     clear_caches()
     th = Threshold.of("3+6^-6")
-    want = sigma_enumerate(th, 12).to_json()
+    want = sigma_enumerate(th, 12).to_json_obj()
     clear_caches()
 
     def forbidden(*args, **kwargs):
@@ -204,14 +205,14 @@ def test_decisions_make_no_interval_call(monkeypatch):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
     monkeypatch.setattr(mpmath.iv, "log", forbidden)
     monkeypatch.setattr(mpmath.iv, "exp", forbidden)
-    assert sigma_enumerate(th, 12).to_json() == want
+    assert sigma_enumerate(th, 12).to_json_obj() == want
     for w in ("22221111", "2222111122", "121", "112222222112"):
         assert membership(w, th).verdict == ("in" if w == "112222222112" else "out")
 
 
 def test_lang_caches_bounded_and_clearable():
     t = Fraction(3) + Fraction(1, 6 ** 6)
-    warm = sigma_enumerate(t, 12).to_json()
+    warm = sigma_enumerate(t, 12).to_json_obj()
     module_vars = {k: v for k, v in vars(lang).items() if not k.startswith("__")}
     caches = [v for v in module_vars.values() if hasattr(v, "cache_info")]
     assert len(caches) >= 6
@@ -220,7 +221,7 @@ def test_lang_caches_bounded_and_clearable():
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
     assert not [k for k, v in module_vars.items() if isinstance(v, dict)]
-    assert sigma_enumerate(t, 12).to_json() == warm
+    assert sigma_enumerate(t, 12).to_json_obj() == warm
 
 
 def test_tables_do_not_depend_on_earlier_calls():

@@ -102,6 +102,22 @@ def test_decimal_prints_every_requested_digit():
             assert int(whole + frac) == want, (d, k)
 
 
+def test_decimal_truncates_negative_values_toward_zero():
+    # the digits are those of |v|, truncated, with v's sign in front
+    assert SurdSum({2: -1}).decimal(3) == "-1.414"
+    assert SurdSum({1: Fraction(-1, 3)}).decimal(3) == "-0.333"
+    assert SurdSum({1: Fraction(-1, 2)}).decimal(3) == "-0.500"
+    assert QuadSurd(-1, -1, 2, 5).decimal(4) == "-1.6180"  # -(1 + √5)/2
+    # values in (-10^-k, 0), one rational and one irrational
+    assert SurdSum({1: Fraction(-1, 10 ** 5)}).decimal(3) == "-0.000"
+    tiny = SurdSum({2: 1, 1: Fraction(-14143, 10000)})  # √2 - 1.4143 < 0
+    assert tiny.sign() < 0 and tiny.decimal(3) == "-0.000"
+    assert tiny.decimal(6) == "-0.000086"
+    assert SurdSum({}).decimal(2) == "0.00" and (-tiny).decimal(6) == "0.000086"
+    for d in (2, 3, 7):
+        assert (-SurdSum({d: 1})).decimal(20) == "-" + SurdSum({d: 1}).decimal(20)
+
+
 def test_hash_agrees_with_equality():
     assert QuadSurd(1, 0, 2) == Fraction(1, 2)
     assert len({QuadSurd(1, 0, 2), Fraction(1, 2)}) == 1
