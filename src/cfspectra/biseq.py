@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import eventually_periodic_value
+from .cf import lambda_between, periodic_fixpoint
 from .errors import DomainError
 from .surd import SurdSum
 from .words import Word
@@ -79,20 +79,22 @@ class BiSeq:
                      Word(self.left_transient.digits[::-1]),
                      Word(self.left_period.digits[::-1]))
 
-    def _tail0(self, i):
-        """[0; s_i, s_{i+1}, ...] as an exact QuadSurd, at any position i."""
-        n = len(self.right_transient)
-        return eventually_periodic_value(self.segment(i, n),
-                                         _rotate(self.right_period.digits, max(i, n) - n))
-
     def __repr__(self):
         return "BiSeq(per(%s) %s | %s per(%s))" % (
             self.left_period, self.left_transient, self.right_transient, self.right_period)
 
 
 def lambda_at(s, i):
-    """lambda at position i: [s_i; s_{i+1}, ...] + [0; s_{i-1}, s_{i-2}, ...]."""
-    return SurdSum.from_value(s._tail0(i + 1) + int(s.digit(i))) + s.transpose()._tail0(-i)
+    """lambda at position i: [s_i; s_{i+1}, ...] + [0; s_{i-1}, s_{i-2}, ...].
+
+    The digits from the left transient (or i) to the right transient (or i)
+    lie between the two periodic ends, whose tail values are the fixed points
+    of the periods rotated to the phases where the digits stop."""
+    nl, nr = len(s.left_transient), len(s.right_transient)
+    lo, hi = min(i, -nl), max(i + 1, nr)
+    right = periodic_fixpoint(_rotate(s.right_period.digits, hi - nr))
+    left = periodic_fixpoint(_rotate(s.left_period.digits[::-1], -lo - nl))
+    return SurdSum.from_value(lambda_between(s.segment(lo, hi), i - lo, left, right))
 
 
 def _markov_periodic(period):

@@ -7,7 +7,8 @@ Everything runs through the 2x2 integer matrix of a digit word w = d1...dk,
 for which [0; w, tail] = (g00*x + g01) / (g10*x + g11) where x = [0; tail].
 In particular [0; w] = g01/g11 and |I(w)| = 1 / (g11 * (g10 + g11)).
 Every exact value of a word continued by a known tail is that Moebius image,
-tail_image, and every extremum over a range of tails is extremal_image.
+tail_image, every lambda value between two known tails is lambda_between, and
+every extremum over a range of tails is extremal_image.
 """
 
 from __future__ import annotations
@@ -192,9 +193,12 @@ def extremal_image(prefix, hi, lo, mode):
     return tail_image(prefix, end)
 
 
-def eventually_periodic_value(head, period):
-    """[0; head, overline(period)] exactly."""
-    return tail_image(head, periodic_fixpoint(period))
+def lambda_between(w, i, left, right):
+    """lambda at position i of the digit string w between two tails of known
+    value: w continued on the right by a tail X with [0; X] = right, and on
+    the left, read leftward, by one with value left.  That is
+    w_i + [0; w_{i+1}, ..., X] + [0; w_{i-1}, ..., w_0, X'], exactly."""
+    return int(w[i]) + tail_image(w[i + 1:], right) + tail_image(w[:i][::-1], left)
 
 
 def extremal_tail(prefix, mode):

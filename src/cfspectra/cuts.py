@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .biseq import markov_value
-from .cf import TAIL_MAX, TAIL_MIN, extremal_tail, tail_image
+from .cf import TAIL_MAX, TAIL_MIN, extremal_tail, lambda_between
 from .errors import DomainError, PreconditionUnverified, TemplateMismatch
 from .lang import Threshold, membership, parse_threshold
 from .surd import SurdSum
@@ -68,12 +68,6 @@ class CutClass:
         return self.kind if self.depth is None else "%s(depth=%d)" % (self.kind, self.depth)
 
 
-def _closed_lambda(w, i, left, right):
-    """lambda at position i of the word w continued on the right by a tail X
-    with [0; X] = right and on the left, read leftward, by one with value left."""
-    return int(w[i]) + tail_image(w[i + 1:], right) + tail_image(w[:i][::-1], left)
-
-
 def classify_cut(cut):
     """Exact classification of the two bar-adjacent positions.
 
@@ -107,8 +101,8 @@ def classify_cut(cut):
         # [0;(12)^inf] = TAIL_MAX on the right, per(21) the other way round
         for left in (TAIL_MIN, TAIL_MAX):
             for right in (TAIL_MAX, TAIL_MIN):
-                if (_closed_lambda(w, pl, left, right) <= 3
-                        and _closed_lambda(w, pr, left, right) <= 3):
+                if (lambda_between(w, pl, left, right) <= 3
+                        and lambda_between(w, pr, left, right) <= 3):
                     return CutClass("mixed", *sups, depth=len(lext) + len(rext))
         if len(lext) + len(rext) >= CUT_DEPTH:
             capped = True
@@ -184,18 +178,6 @@ class CompareVerdict:
     threshold: object
 
 
-def _cut_sup(omega, x):
-    """Exact sup over completions of 3 + [0;11 omega x ...] - inf [0;11 omega y ...],
-    the lambda value at the cut a omega y of ... x omega* b | a omega y ..."""
-    o = str(omega)
-    up = "11" + o + x
-    hi = extremal_tail(up, "max")
-    y = "1" if x == "2" else "2"
-    dn = "11" + o + y
-    lo = extremal_tail(dn, "min")
-    return SurdSum.from_value(hi + 3 - lo)
-
-
 def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
     """Certify that every sequence ... x omega_tilde* b | a omega_tilde y ... has
     lambda below t, given that the base bad cut x omega* b | a omega y occurs in
@@ -233,8 +215,10 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
     mv, _, _ = markov_value(witness)
     if not mv <= t:
         raise PreconditionUnverified("witness Markov value exceeds t")
-    base = _cut_sup(o, x)
-    ext = _cut_sup(ot, x)
+    # the exact sup of lambda at the first digit of a = 22 over every
+    # completion of x w* b | a w y
+    base, ext = (SurdSum.from_value(position_bounds(x + w[::-1] + "1122" + w + y,
+                                                    len(w) + 3)[1]) for w in (o, ot))
     ok = (ext - t).sign() < 0
     return CompareVerdict(ok, base, ext, t)
 

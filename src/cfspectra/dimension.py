@@ -14,7 +14,6 @@ from .errors import DomainError, EmptyLanguage
 from .surd import SurdSum, refine
 
 MORAN_TOL = Fraction(1, 10 ** 6)  # bisection width of each Moran root
-LAMBERT_TOL = 1e-12               # relative residual of lambert_inv
 
 
 @dataclass(frozen=True)
@@ -122,10 +121,18 @@ def _root(sums, adjust):
     return float((lo + hi) / 2)
 
 
+def _check_blocks(blocks):
+    """Raise DomainError unless every block is a nonempty word over {1, 2}."""
+    for b in blocks:
+        if not b or set(b) - {"1", "2"}:
+            raise DomainError("blocks must be nonempty words over {1, 2}: %r" % b)
+
+
 def _cylinders(words, level):
     """Exact cylinder lengths (num, den) of the distinct equal-length blocks,
     sorted, refined first to all concatenations of length level if it is
-    set; returns (lengths, block length).
+    set; returns (lengths, block length).  A block that is empty or not a
+    word over {1, 2} raises DomainError.
 
     A repeated block adds nothing to the limit set; kept, it can put a root
     exactly on a bisection midpoint (["1", "1"]: the lower map is 1 at
@@ -133,6 +140,7 @@ def _cylinders(words, level):
     words = sorted({str(w) for w in words})
     if not words:
         raise EmptyLanguage("moran_bracket needs at least one word")
+    _check_blocks(words)
     m = len(words[0])
     if any(len(w) != m for w in words):
         raise DomainError("all blocks must have the same length")
@@ -233,9 +241,10 @@ def certify_blocks(blocks, t):
     blocks = sorted(str(b) for b in blocks)
     if not blocks:
         raise EmptyLanguage("certify_blocks needs at least one block")
+    _check_blocks(blocks)
     m = len(blocks[0])
-    if m == 0 or any(len(b) != m for b in blocks):
-        raise DomainError("blocks must be nonempty and of equal length")
+    if any(len(b) != m for b in blocks):
+        raise DomainError("blocks must be of equal length")
     sup_f, inf_f = _tail_extremes(blocks)
     rev_blocks = [b[::-1] for b in blocks]
     sup_b, inf_b = _tail_extremes(rev_blocks)
@@ -253,44 +262,14 @@ def certify_blocks(blocks, t):
 
 
 def lambert_inv(y):
-    """Inverse of H(x) = x * e**x on the principal branch, by guarded Newton.
-
-    Requires y >= -1/e; the result satisfies
-    |H(x) - y| <= LAMBERT_TOL * max(1, |y|).
-    """
+    """Inverse of H(x) = x * e**x on the principal branch, for y >= -1/e:
+    mpmath's principal Lambert W.  Its real part is taken, because a y
+    within rounding of -1/e can fall just below it, where W has a tiny
+    imaginary part."""
     y = float(y)
     if y < -math.exp(-1):
         raise DomainError("lambert_inv needs y >= -1/e")
-    if y == 0.0:
-        return 0.0
-    # initial guess per range
-    if y > math.e:
-        x = math.log(y)
-        x -= math.log(x)
-    elif y > 0:
-        x = y / math.e
-    else:
-        # -1/e <= y < 0: branch point series
-        p = math.sqrt(2 * (1 + math.e * y))
-        x = -1 + p - p * p / 3
-    for _ in range(200):
-        ex = math.exp(x)
-        f = x * ex - y
-        if abs(f) <= LAMBERT_TOL * max(1.0, abs(y)):
-            return x
-        d1 = ex * (x + 1)
-        if d1 <= 0:
-            x = x + 1e-9 if x >= -1 else -1 + 1e-9
-            continue
-        # Halley update; robust near the branch point x = -1
-        step = f / (d1 - f * (x + 2) / (2 * (x + 1)))
-        nxt = x - step
-        if y >= 0 and nxt < 0:
-            nxt = x / 2
-        elif nxt < -1:
-            nxt = (x - 1) / 2
-        x = nxt
-    raise ArithmeticError("lambert_inv failed to converge")  # pragma: no cover
+    return float(mpmath.lambertw(y).real)
 
 
 C0 = -math.log(math.log((3 + math.sqrt(5)) / 2))

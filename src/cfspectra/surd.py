@@ -247,13 +247,24 @@ class SurdSum:
     __hash__ = None
 
     def __float__(self):
-        lo, hi = self._bounds(64)
-        return float((lo + hi) / 2)
+        """The float nearest the value: the enclosure is refined until both
+        ends have one sign and round to the same float, which the value
+        between them rounds to as well."""
+        def decide(bits):
+            lo, hi = self._bounds(bits)
+            if (lo < 0) == (hi < 0) and float(lo) == float(hi):
+                return float(lo)
+            return None
+
+        return refine(decide, 64)
 
     def decimal(self, digits=12):
         """Certified decimal string with the stated number of fractional
-        digits: the value truncated toward zero, signed as the value is, so
-        a value in (-10^-digits, 0) prints as -0.00...0."""
+        digits (no point for 0 digits): the value truncated toward zero,
+        signed as the value is, so a value in (-10^-digits, 0) prints as
+        -0.00...0.  Raises ValueError for negative digits."""
+        if digits < 0:
+            raise ValueError("decimal needs digits >= 0, got %d" % digits)
         scale = 10 ** digits
 
         def decide(bits):
@@ -268,7 +279,10 @@ class SurdSum:
                 # a rational value has lo == hi; an irrational one is never
                 # zero or on a decimal boundary, so refinement always separates
                 return None
-            return "%s%d.%0*d" % ("-" if neg else "", a // scale, digits, a % scale)
+            sign = "-" if neg else ""
+            if not digits:
+                return "%s%d" % (sign, a)
+            return "%s%d.%0*d" % (sign, a // scale, digits, a % scale)
 
         return refine(decide, 16)
 
@@ -469,10 +483,7 @@ class QuadSurd:
                      Fraction(self.q * self.q * self.d, self.r * self.r), self.q > 0))
 
     def __float__(self):
-        if self.q == 0:
-            return self.p / self.r
-        lo, hi = _sqrt_bounds(self.d, 64)
-        return float((Fraction(self.p) + Fraction(self.q) * (lo + hi) / 2) / self.r)
+        return float(self.to_sum())
 
     def decimal(self, digits=12):
         return self.to_sum().decimal(digits)

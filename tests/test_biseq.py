@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
-from cfspectra.cf import eventually_periodic_value
+from cfspectra import biseq
+from cfspectra.cf import periodic_fixpoint, tail_image
 from cfspectra.surd import QuadSurd, SurdSum
 from cfspectra.words import Word
 
@@ -82,9 +83,9 @@ def test_three_identity():
     rng = random.Random(14)
     for _ in range(30):
         z = "".join(rng.choice("12") for _ in range(rng.randrange(1, 8)))
-        fwd = 2 + eventually_periodic_value("2", z)  # [2; 2, z...]
+        fwd = 2 + tail_image("2", periodic_fixpoint(z))  # [2; 2, z...]
 
-        bwd = eventually_periodic_value("11", z)
+        bwd = tail_image("11", periodic_fixpoint(z))
         assert (SurdSum.from_value(fwd) + bwd - Fraction(3)).sign() == 0
 
 
@@ -201,3 +202,41 @@ def test_markov_value_against_truncated_cf():
             if attained:
                 assert abs(_mp(lambda_at(s, index)) - _mp(value)) < mpmath.mpf(10) ** -50
                 assert abs(_lambda_truncated(s, index) - _mp(value)) < mpmath.mpf(10) ** -50
+
+
+def _tail0_reference(s, i):
+    """[0; s_i, s_{i+1}, ...]: the former BiSeq._tail0."""
+    n, p = len(s.right_transient), s.right_period.digits
+    k = (max(i, n) - n) % len(p)
+    return tail_image(s.segment(i, n), periodic_fixpoint(p[k:] + p[:k]))
+
+
+def _lambda_reference(s, i):
+    """The former lambda_at: the forward tail as above, the backward one read
+    the same way on the transposed sequence."""
+    return SurdSum.from_value(_tail0_reference(s, i + 1) + int(s.digit(i))) \
+        + _tail0_reference(s.transpose(), -i)
+
+
+def test_lambda_and_markov_match_the_transpose_route(monkeypatch):
+    """lambda_at reads every value between the two periodic ends through
+    cf.lambda_between; the former route read the backward value through a
+    transposed BiSeq.  The same markov_value (repr, attained, index) on 400
+    seeded sequences, and the same lambda_at repr at three positions of each,
+    drawn from the window and past it on both sides."""
+    rng = random.Random(17)
+
+    def digits(lo, hi):
+        return "".join(rng.choice("12") for _ in range(rng.randrange(lo, hi)))
+
+    for _ in range(400):
+        s = BiSeq.make(digits(1, 6), digits(0, 6), digits(0, 6), digits(1, 6))
+        got = markov_value(s)
+        with monkeypatch.context() as m:
+            m.setattr(biseq, "lambda_at", _lambda_reference)
+            ref = markov_value(s)
+        assert (repr(got[0]),) + got[1:] == (repr(ref[0]),) + ref[1:], s
+        reach = 3 * (len(s.left_period) + len(s.right_period)) + 6
+        for i in rng.sample(range(-len(s.left_transient) - reach,
+                                  len(s.right_transient) + reach), 3):
+            assert repr(lambda_at(s, i)) == repr(_lambda_reference(s, i)), (s, i)

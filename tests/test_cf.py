@@ -4,10 +4,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cfspectra.cf import (cylinder, cylinder_length, eval_cf,
-                          eventually_periodic_value, extremal_image,
+from cfspectra.cf import (cylinder, cylinder_length, eval_cf, extremal_image,
                           extremal_tail, floor_log, periodic_fixpoint,
-                          r_exponent)
+                          r_exponent, tail_image)
 from cfspectra.dimension import _tail_extremes
 from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum
@@ -125,14 +124,14 @@ def test_run_interval_closed_forms():
 def test_periodic_values():
     assert periodic_fixpoint("1") == QuadSurd(-1, 1, 2, 5)
     assert periodic_fixpoint("2") == QuadSurd(-1, 1, 1, 2)
-    assert 2 + eventually_periodic_value("", "2") == QuadSurd(1, 1, 1, 2)
+    assert 2 + tail_image("", periodic_fixpoint("2")) == QuadSurd(1, 1, 1, 2)
     # numeric oracle at high precision
     rng = random.Random(5)
     with mpmath.workdps(60):
         for _ in range(40):
             pre = random_word(rng, rng.randrange(0, 6))
             per = random_word(rng, rng.randrange(1, 8))
-            val = eventually_periodic_value(pre, per)
+            val = tail_image(pre, periodic_fixpoint(per))
             seq = [int(c) for c in pre + per * 40]
             acc = mpmath.mpf(0)
             for d in reversed(seq):
@@ -172,5 +171,5 @@ def test_extremal_tail_dominates_random_continuations():
         for _ in range(8):
             head = "".join(rng.choice(blocks) for _ in range(rng.randrange(0, 6)))
             period = "".join(rng.choice(blocks) for _ in range(rng.randrange(1, 4)))
-            v = eventually_periodic_value(prefix + head, period)
+            v = tail_image(prefix + head, periodic_fixpoint(period))
             assert lo <= v <= hi

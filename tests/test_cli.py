@@ -127,6 +127,13 @@ def test_dim_and_asym():
     assert code == 0 and "0.030779" in out
 
 
+@pytest.mark.parametrize("blocks", ["1,3", "1,x"])
+def test_dim_rejects_blocks_that_are_not_digit_words(blocks, capsys):
+    assert cli.main(["dim", "--blocks", blocks, "--level", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "nonempty words over {1, 2}" in err
+
+
 @pytest.mark.parametrize("flags", [(), ("--blocks", "1,2", "--words-file", "w.txt")])
 def test_dim_needs_exactly_one_block_source(flags):
     assert cli.main(["dim", "--level", "4", *flags]) == 3

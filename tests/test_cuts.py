@@ -7,6 +7,7 @@ import pytest
 
 from cfspectra.alphabets import ROOT, alphabet_from_pair
 from cfspectra.biseq import BiSeq, lambda_at, markov_value
+from cfspectra.cf import extremal_tail
 from cfspectra.cuts import (CUT_DEPTH, PUSH_TEMPLATES, Cut, classify_cut,
                             compare_bad_cuts, forbidden_pattern_check,
                             position_bounds, push_cut)
@@ -220,6 +221,32 @@ def test_compare_bad_cuts():
         ext = "22" + "".join(rng.choice(("11", "22")) for _ in range(rng.randrange(1, 5)))
         got = compare_bad_cuts(Word("22"), Word(ext), t, x="1", witness=wit)
         assert got.ok and got.extended_bound <= got.base_bound
+
+
+def _cut_sup_reference(omega, x):
+    """The former cuts._cut_sup: 3 + max [0; 11 omega x ...] - min [0; 11 omega y ...],
+    through the identity [0; 2, Y] = 1 - [0; 1, 1, Y]."""
+    y = "1" if x == "2" else "2"
+    hi = extremal_tail("11" + omega + x, "max")
+    lo = extremal_tail("11" + omega + y, "min")
+    return SurdSum.from_value(hi + 3 - lo)
+
+
+def test_compare_bad_cuts_bounds_match_the_identity_route():
+    """compare_bad_cuts reads both bounds through position_bounds; for every
+    omega of at most 10 digits and both x they equal the closed form of the
+    identity route in value, str and repr."""
+    t = Fraction(4)  # above every Markov value of a {1,2}-sequence
+    for n in range(11):
+        for digits in product("12", repeat=n):
+            o = "".join(digits)
+            for x in "12":
+                y = "1" if x == "2" else "2"
+                wit = BiSeq.periodic(x + o[::-1] + "11" + o + y)
+                v = compare_bad_cuts(o, o, t, x=x, witness=wit)
+                ref = _cut_sup_reference(o, x)
+                assert v.ok and v.base_bound == v.extended_bound == ref
+                assert (str(v.base_bound), repr(v.base_bound)) == (str(ref), repr(ref))
 
 
 def test_compare_bad_cuts_without_witness():

@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from cfspectra.cf import eventually_periodic_value
+from cfspectra.cf import periodic_fixpoint, tail_image
 from cfspectra.dimension import (C0, _tail_extremes, certify_blocks, d_asymptotic,
                                  d_upper, lambert_inv, moran_bracket, thm2_bound)
 from cfspectra.errors import DomainError, EmptyLanguage
@@ -53,15 +54,23 @@ def test_tail_extremes_need_blocks_of_one_parity():
     therefore keeps equal lengths."""
     sup, inf = _tail_extremes(["2", "11"])
     assert inf == QuadSurd(-2, 1, 3, 10)  # [0; (211)^inf] = 0.387425...
-    least = eventually_periodic_value("2", "11")  # [0; 2, (11)^inf]
+    least = tail_image("2", periodic_fixpoint("11"))  # [0; 2, (11)^inf]
     assert least == QuadSurd(3, -1, 2, 5) and least < inf  # 0.381966...
     sup, inf = _tail_extremes(["1", "22"])
     assert sup == QuadSurd(-5, 1, 6, 85)  # [0; (122)^inf] = 0.703257...
-    greatest = eventually_periodic_value("1", "22")  # [0; 1, (22)^inf]
+    greatest = tail_image("1", periodic_fixpoint("22"))  # [0; 1, (22)^inf]
     assert greatest == QuadSurd(0, 1, 2, 2) and greatest > sup  # √2/2
     for blocks in (["2", "11"], ["1", "22"]):
         with pytest.raises(DomainError, match="equal length"):
             certify_blocks(blocks, parse_threshold("sqrt(12)"))
+
+
+@pytest.mark.parametrize("blocks", [["1", "3"], ["1", "x"], [""], ["12", ""]])
+def test_blocks_must_be_nonempty_digit_words(blocks):
+    with pytest.raises(DomainError, match="nonempty words over"):
+        moran_bracket(blocks, level=4)
+    with pytest.raises(DomainError, match="nonempty words over"):
+        certify_blocks(blocks, Fraction(3))
 
 
 def test_certify_blocks_examples():
@@ -99,6 +108,17 @@ def test_lambert_against_scipy():
     scipy = pytest.importorskip("scipy.special")
     for y in (0.5, 3.0, 100.0, 1e5):
         assert abs(lambert_inv(y) - float(scipy.lambertw(y).real)) < 1e-9
+
+
+def test_lambert_inv_small_arguments():
+    # W(y) = y - y^2 + ... is tiny here, so only a relative error tests it:
+    # an absolute residual of 1e-12 is met by y/e at y = 1e-13
+    for y in (1e-13, 1e-20, 1e-4, 0.25):
+        with mpmath.workdps(50):
+            want = float(mpmath.lambertw(y).real)
+        assert abs(lambert_inv(y) - want) <= 4e-16 * want, y
+    # d_asymptotic tends to 2 e^c0 = 2 / log((3 + √5)/2) as rho -> 1
+    assert abs(d_asymptotic(1 - 1e-13) - 2 * math.exp(C0)) < 1e-9
 
 
 def test_d_asymptotic_identity_and_monotonicity():

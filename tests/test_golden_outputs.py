@@ -3,8 +3,9 @@ fixed set of commands.
 
 `cli.main` runs in-process with stdout redirected, so the whole set takes
 about two seconds.  The digests pin every output byte of commands that cover
-each subcommand family (sigma in all three formats, eval, cuts, one pushcut
-per template kind and one template mismatch, connect, dim, renorm, interval).
+each subcommand family (sigma in all three formats, eval of a Markov value
+and of a lambda value, cuts, one pushcut per template kind and one template
+mismatch, connect, dim, renorm, interval, farey, alphabets, bound, asym).
 A change that is meant to alter output updates the digest here and records
 the output change in CHANGES.md; any other digest change is a regression.
 """
@@ -65,6 +66,20 @@ GOLDEN = [
      0, "4c2410d577dfeeefeb73545a7327916acbf1e047ccd8d6ddcba15eb185c18511"),
     (("interval", "--word", "2211"),
      0, "765a70b05c54d541a4bff71172d067b2cedbdca86894154fa46ceba720c3d124"),
+    (("eval", "--seq", "l:per(12) mid(2) r:per(1)"),
+     0, "179d78b274b8c8d1afa243c185f095f78fa3ee74effce1bf8e04a2523aaa8f6b"),
+    (("eval", "--seq", "l:per(12) mid(2) r:per(1)", "--at", "1"),
+     0, "05b01102bb2b4b6a60424b0cb2b9de1d61b53fb1ae56ff3c5145a558dbf7652f"),
+    (("farey", "--n", "6"),
+     0, "4b75d1e021057e89e08e45743ce7b3d42eca6d68db8d6bfed57aed79ffbca6aa"),
+    (("alphabets", "--depth", "3"),
+     0, "184419bba9330ab0cdae6d076faf064ebce10c6b41c4879bb483124ec3d2667b"),
+    (("bound", "--rho", "e^-100"),
+     0, "8dfabe3b8171cc9df8d27387cf2ddb150e5801c6d326071158cfcafc18dbf486"),
+    (("asym", "--rho", "6^-18"),
+     0, "d2d832007e439f7adb55526f5b951b19143304f1724642da2761365efecd01c0"),
+    (("asym", "--rho", "e^-100", "-f", "json"),
+     0, "158fbfee65c0658132adcc74053932c757e4380b29b12005201214219a35a7bf"),
 ]
 
 

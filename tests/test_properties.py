@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cfspectra.biseq import BiSeq, lambda_at, markov_value
-from cfspectra.cf import cylinder_length
+from cfspectra.cf import cylinder_length, periodic_fixpoint, tail_image
 from cfspectra.cuts import Cut, classify_cut
 from cfspectra.errors import NotRenormalizable
 from cfspectra.lang import parse_threshold
@@ -60,10 +60,9 @@ def test_window_agreement_bound():
             head = "".join(rng.choice("12") for _ in range(rng.randrange(0, 3)))
             per = "".join(rng.choice("12") for _ in range(rng.randrange(1, 4)))
             tails.append((head, per))
-        vals = [(BiSeq.make("12", "", h, p), h, p) for h, p in tails]
-        keyed = sorted(vals, key=lambda t: float(t[0]._tail0(0)))
-        if (float(keyed[0][0]._tail0(0)) == float(keyed[1][0]._tail0(0))
-                or float(keyed[1][0]._tail0(0)) == float(keyed[2][0]._tail0(0))):
+        vals = [(tail_image(h, periodic_fixpoint(p)), h, p) for h, p in tails]
+        keyed = sorted(vals, key=lambda t: t[0])
+        if keyed[0][0] == keyed[1][0] or keyed[1][0] == keyed[2][0]:
             continue  # the lemma wants strictly ordered tails
         lows, mid, high = keyed
         left1 = "".join(rng.choice("12") for _ in range(3))

@@ -118,6 +118,39 @@ def test_decimal_truncates_negative_values_toward_zero():
         assert (-SurdSum({d: 1})).decimal(20) == "-" + SurdSum({d: 1}).decimal(20)
 
 
+def test_decimal_at_zero_and_negative_digits():
+    assert SurdSum({10: 1}).decimal(0) == "3"
+    assert SurdSum({2: -1}).decimal(0) == "-1"
+    assert SurdSum({1: Fraction(-1, 3)}).decimal(0) == "-0"
+    assert QuadSurd(1, 0, 3).decimal(0) == "0"
+    for digits in (-1, -5):
+        with pytest.raises(ValueError, match="digits >= 0"):
+            SurdSum({10: 1}).decimal(digits)
+
+
+def test_float_is_the_nearest_float_under_cancellation():
+    # p/q the 60th convergent of √2: q√2 - p = 4.47e-24, far below the width
+    # q * 2^-64 of a 64-bit enclosure, whose midpoint read -853.14
+    p, q = 1, 1
+    for _ in range(60):
+        p, q = p + 2 * q, p + q
+    with mpmath.workdps(80):
+        want = float(q * mpmath.sqrt(2) - p)
+    assert 4.47e-24 < want < 4.48e-24
+    assert float(SurdSum({1: -p, 2: q})) == want
+    assert float(QuadSurd(-p, q, 1, 2)) == want
+    assert float(SurdSum({1: p, 2: -q})) == -want
+    # mpmath's float() rounds to nearest, so the two agree exactly
+    rng = random.Random(19)
+    for _ in range(200):
+        terms = {d: Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 3))
+                 for d in rng.sample((1, 2, 3, 5, 6, 7), rng.randrange(1, 4))}
+        with mpmath.workdps(120):
+            want = float(mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(d)
+                                     for d, c in terms.items()))
+        assert float(SurdSum(terms)) == want, terms
+
+
 def test_hash_agrees_with_equality():
     assert QuadSurd(1, 0, 2) == Fraction(1, 2)
     assert len({QuadSurd(1, 0, 2), Fraction(1, 2)}) == 1
