@@ -183,11 +183,14 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
     lambda below t, given that the base bad cut x omega* b | a omega y occurs in
     a word of the t-level language.
 
-    The precondition is certified by a caller-supplied witness sequence whose
-    Markov value is <= t and which contains the base cut; without one, by
-    the witness of lang.membership of the base pattern when its verdict is
-    "in", which needs a t that lang.Threshold.of accepts.  Either witness is
-    rechecked through markov_value.  A text t is parsed once, on entry, by
+    The precondition is certified on the base cut's word
+    u = x omega* 1122 omega y itself, the word whose bound is returned: by a
+    caller-supplied witness sequence whose Markov value is <= t and which
+    contains u (every occurrence of u is repeated within one period and one
+    |u| of the transients, so that window is searched); without one, by the
+    witness of lang.membership of u when its verdict is "in", which needs a
+    t that lang.Threshold.of accepts.  Either witness is rechecked through
+    markov_value.  A text t is parsed once, on entry, by
     lang.parse_threshold.  Returns the exact bound chain.
     """
     if isinstance(t, str):
@@ -198,17 +201,18 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
     if x not in ("1", "2"):
         raise DomainError("x must be a digit")
     y = "1" if x == "2" else "2"
-    pattern = x + o[::-1] + "11" + o + y
+    base_word, ext_word = (x + w[::-1] + "1122" + w + y for w in (o, ot))
     if witness is not None:
-        probe = witness.segment(-8 * len(pattern) - 8, 8 * len(pattern) + 8)
-        if pattern not in probe:
+        lo = len(witness.left_transient) + len(witness.left_period) + len(base_word)
+        hi = len(witness.right_transient) + len(witness.right_period) + len(base_word)
+        if base_word not in witness.segment(-lo, hi):
             raise PreconditionUnverified("witness does not exhibit the base cut")
     else:
         try:
             th = Threshold.of(t)
         except DomainError as exc:
             raise PreconditionUnverified("no witness, and %s" % exc) from exc
-        cert = membership(pattern, th)
+        cert = membership(base_word, th)
         if cert.verdict != "in":
             raise PreconditionUnverified("the base cut is %s at t" % cert.verdict)
         witness = cert.witness
@@ -217,8 +221,8 @@ def compare_bad_cuts(omega, omega_tilde, t, x="1", witness=None):
         raise PreconditionUnverified("witness Markov value exceeds t")
     # the exact sup of lambda at the first digit of a = 22 over every
     # completion of x w* b | a w y
-    base, ext = (SurdSum.from_value(position_bounds(x + w[::-1] + "1122" + w + y,
-                                                    len(w) + 3)[1]) for w in (o, ot))
+    base, ext = (SurdSum.from_value(position_bounds(u, len(w) + 3)[1])
+                 for u, w in ((base_word, o), (ext_word, ot)))
     ok = (ext - t).sign() < 0
     return CompareVerdict(ok, base, ext, t)
 

@@ -286,11 +286,11 @@ def _certified_tables(th, run_cap):
         before = (j1, j2)
         if not stall1:
             stall1 = (j1 + 2 > run_cap or
-                      not _position_violation("2" + "1" * (j1 + 2) + "2", th, tables))
+                      _bound_build("2" + "1" * (j1 + 2) + "2", th, tables) is not None)
             j1 += 0 if stall1 else 2
         if not stall2:
             stall2 = (j2 + 2 > run_cap or
-                      not _position_violation("1" + "2" * (j2 + 2) + "1", th, tables))
+                      _bound_build("1" + "2" * (j2 + 2) + "1", th, tables) is not None)
             j2 += 0 if stall2 else 2
         if (j1, j2) != before:
             tables = _iterate_tables(j1, j2, 160 + 4 * max(j1, j2))
@@ -317,24 +317,16 @@ def factor_witness_map(n):
     """word -> (period, offset) for every length-n factor of the periodic
     family, with the shortest (then theta-least) period winning.
 
-    The family is grown by letter length until two consecutive lengths add no
-    new factor (and at least far enough to cover one-block transients).
+    The family is grown by letter length q up to n//2 + 3: a window of n
+    digits covers at most n//2 + 1 two-digit letters, and two more lengths
+    are kept as a margin.
     """
     wmap = {}
-    quiet = 0
-    q = 1
-    floor_q = n // 2 + 3
-    while q <= floor_q or quiet < 2:
-        added = False
+    for q in range(1, n // 2 + 4):
         for period in _periods_with_letters(q):
             for w, off in _windows(period, n):
                 if w not in wmap:
                     wmap[w] = (period, off)
-                    added = True
-        quiet = 0 if added else quiet + 1
-        q += 1
-        if q > 6 * n + 16:  # safety stop; cross-oracle tests would catch this
-            break
     return wmap
 
 
@@ -470,7 +462,12 @@ def _min_tail_image(g, parity, lo, hi):
 def _bound_build(s, th, tables):
     """The position bound of the digit string s, built whole from suffix
     products; None when s closes a banned interior odd run or some position
-    of s has every admissible bi-infinite completion exceed t there."""
+    of s has every admissible bi-infinite completion exceed t there.
+
+    This covers the coupled bound at 11|22 bars: at the first 2 of a 1122,
+    lambda = 2 + [0;2,Y...] + [0;1,1,X...] = 3 + [0;1,1,X...] - [0;1,1,Y...],
+    since [0;2,Y] = 1 - [0;1,1,Y], and both forms take the same tail values.
+    """
     if tables.has_banned_run(s):
         return None
     back = tables.bounds(*TailTables.start_run(s))
@@ -531,17 +528,6 @@ def _bound_check(s, rev, end, back, live, th, tables):
         if verdict == 0:
             kept.append(pos)
     return s, rev, end, back, kept
-
-
-def _position_violation(s, th, tables):
-    """True when the digit string s closes a banned interior odd run, or some
-    position of s has every admissible bi-infinite completion exceed t there.
-
-    This covers the coupled bound at 11|22 bars: at the first 2 of a 1122,
-    lambda = 2 + [0;2,Y...] + [0;1,1,X...] = 3 + [0;1,1,X...] - [0;1,1,Y...],
-    since [0;2,Y] = 1 - [0;1,1,Y], and both forms take the same tail values.
-    """
-    return _bound_build(s, th, tables) is None
 
 
 # ------------------------------------------- forbidden-block refutation rule
@@ -642,7 +628,7 @@ def membership(w, t, max_depth=28, *, bound=None):
 
     t is anything Threshold.of accepts.  bound, when given, is the caller's
     position bound of the word over _word_tables(t, len(w)), as
-    _enumerate_survivors returns it; it stands in for the depth-0 build.
+    _enumerate_survivors yields it; it stands in for the depth-0 build.
     The module caches are functools.lru_cache objects with a finite
     maxsize, each with cache_clear(); the tail tables are cached by
     threshold and bucketed cap.
@@ -707,33 +693,33 @@ def membership(w, t, max_depth=28, *, bound=None):
 # ------------------------------------------------------------- enumeration
 
 def _enumerate_survivors(th, n, tables):
-    """Prefix-tree branch and bound over {1,2}^n: the position bounds (see
-    _bound_build) of the length-n words whose bound survives.
+    """Prefix-tree branch and bound over {1,2}^n: yields the position bound
+    (see _bound_build) of each length-n word whose bound survives, as the
+    tree finds it.
 
     Each child grows its parent's bound by one digit on the right
     (_bound_push), so a prefix dies when it closes a banned interior odd run
     or some position's best-case lambda over admissible completions exceeds
     t, and only the positions not yet retired are re-evaluated.
     """
-    out = []
     stack = [b for b in (_bound_build(d, th, tables) for d in "12") if b is not None]
     while stack:
         bound = stack.pop()
         if len(bound[0]) == n:
-            out.append(bound)
+            yield bound
             continue
         for d in "12":
             child = _bound_push(bound, d, th, tables)
             if child is not None:
                 stack.append(child)
-    return out
 
 
 def sigma_enumerate(t, n, max_depth=28):
     """The level-t language at length n, with per-word certificates;
     max_depth is membership's refutation depth.  The enumerator reads the
     tables membership reads (_word_tables), and each survivor's bound is
-    handed to membership for its depth-0 screen."""
+    handed to membership for its depth-0 screen as the enumerator finds it,
+    so no bound outlives its one read."""
     if n < 1:
         raise DomainError("n must be >= 1")
     th = Threshold.of(t)

@@ -227,22 +227,22 @@ class SurdSum:
             return -1
         return None
 
+    # every comparison takes exactly the exact operands, _EXACT, and
+    # declines the rest (a float or a str then raises TypeError when ordered)
     def __eq__(self, other):
-        if not isinstance(other, (SurdSum, QuadSurd, Fraction, int)):
-            return NotImplemented
-        return (self - other).sign() == 0
+        return (self - other).sign() == 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        return (self - other).sign() < 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        return (self - other).sign() <= 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        return (self - other).sign() > 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        return (self - other).sign() >= 0 if isinstance(other, _EXACT) else NotImplemented
 
     __hash__ = None
 
@@ -458,21 +458,19 @@ class QuadSurd:
         return (self.to_sum() - SurdSum.from_value(other)).sign()
 
     def __eq__(self, other):
-        if not isinstance(other, (QuadSurd, SurdSum, int, Fraction)):
-            return NotImplemented
-        return self._cmp(other) == 0
+        return self._cmp(other) == 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        return self._cmp(other) < 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self._cmp(other) <= 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        return self._cmp(other) > 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self._cmp(other) >= 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __hash__(self):
         if self.q == 0:
@@ -510,3 +508,6 @@ class QuadSurd:
 
     def __repr__(self):
         return "QuadSurd(p=%d, q=%d, r=%d, d=%d)" % (self.p, self.q, self.r, self.d)
+
+
+_EXACT = (SurdSum, QuadSurd, Fraction, int)  # the operands surds compare with

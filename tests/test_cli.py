@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -105,6 +106,63 @@ def test_unresolved_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli, "sigma_enumerate", fake)
     assert cli.main(["sigma", "--t", "3", "--n", "4"]) == 2
+
+
+@pytest.mark.parametrize("argv, code", [([], 1), (["--full"], 0)])
+def test_verify_suite_exit_codes(argv, code, monkeypatch, capsys):
+    """verify-suite exits 0 when every criterion passes and 1 otherwise;
+    --full runs criterion "3" with full=True.  Two stub criteria stand in
+    for the real ones."""
+    from cfspectra import acceptance
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", [
+        ("1", lambda: (True, "stub")),
+        ("3", lambda full=False: (full, "full=%s" % full))])
+    assert cli.main(["verify-suite", *argv]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" (", 1)[0] for line in out] == [
+        "criterion 1: PASS - stub",
+        "criterion 3: %s - full=%s" % (("PASS", True) if code == 0 else ("FAIL", False))]
+    assert cli.main(["-f", "json", "verify-suite", *argv]) == code
+    obj = json.loads(capsys.readouterr().out)
+    assert obj == {"passed": code == 0}
+
+
+def test_sigma_verify(monkeypatch, capsys):
+    """--verify re-checks every in-certificate and changes no output byte;
+    a certificate that fails its check is an error, exit 1."""
+    argv = ["sigma", "--t", "3+6^-6", "--n", "8", "--verify"]
+    assert cli.main(argv[:-1]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain
+    assert plain.startswith("36 words in Sigma(3+6^-6, 8)")
+    from cfspectra.lang import MembershipCertificate
+
+    monkeypatch.setattr(MembershipCertificate, "verify", lambda self: False)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: certificate failed for ")
+
+
+def test_timing_is_kept_out_of_the_output(capsys):
+    argv = ["interval", "--word", "2211"]
+    assert cli.main(["-f", "json", "--timing", *argv]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert isinstance(obj.pop("elapsed"), float)
+    assert cli.main(["-f", "json", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == obj
+    assert cli.main(["--timing", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("I(2211) = [5/12, 8/19]")
+    assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", err)
+
+
+def test_csv_without_rows_lists_the_payload(capsys):
+    """A command without rows prints its payload as sorted key,value lines."""
+    assert cli.main(["-f", "csv", "interval", "--word", "2211"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "hi,8/19", "length,1/228", "lo,5/12", "r,5", "word,2211"]
 
 
 def test_pushcut_verify_and_cuts():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfspectra import cuts
 from cfspectra.alphabets import ROOT, alphabet_from_pair
 from cfspectra.biseq import BiSeq, lambda_at, markov_value
 from cfspectra.cf import extremal_tail
@@ -75,6 +76,15 @@ def test_mixed_cut_anchors():
                         ("1112|2", 2), ("2|2112112", 1)):
         got = classify_cut(Cut.parse(text))
         assert (got.kind, got.depth) == ("mixed", depth), text
+
+
+def test_classify_cut_is_unresolved_past_its_depth(monkeypatch):
+    """A cut that no extension of at most CUT_DEPTH digits decides is
+    unresolved at that depth: 2|2112112 needs one digit, 2222|1111 none."""
+    monkeypatch.setattr(cuts, "CUT_DEPTH", 0)
+    got = classify_cut(Cut.parse("2|2112112"))
+    assert (got.kind, got.depth, str(got)) == ("unresolved", 0, "unresolved(depth=0)")
+    assert classify_cut(Cut.parse("2222|1111")).kind == "bad"
 
 
 def test_classify_cut_matches_biseq_closings():
@@ -242,7 +252,7 @@ def test_compare_bad_cuts_bounds_match_the_identity_route():
             o = "".join(digits)
             for x in "12":
                 y = "1" if x == "2" else "2"
-                wit = BiSeq.periodic(x + o[::-1] + "11" + o + y)
+                wit = BiSeq.periodic(x + o[::-1] + "1122" + o + y)
                 v = compare_bad_cuts(o, o, t, x=x, witness=wit)
                 ref = _cut_sup_reference(o, x)
                 assert v.ok and v.base_bound == v.extended_bound == ref
@@ -250,33 +260,76 @@ def test_compare_bad_cuts_bounds_match_the_identity_route():
 
 
 def test_compare_bad_cuts_without_witness():
-    """Without a witness the base cut's pattern x omega* 11 omega y is
-    certified by membership: 12211222 for omega = 22, x = 1 at 3 + 6^-6,
+    """Without a witness the base cut's word u = x omega* 1122 omega y is
+    certified by membership: 2221122221 for omega = 22, x = 2 at 3 + 6^-6,
     where every per(12)/per(21) closing has Markov value sqrt(12)."""
     t = Fraction(3) + Fraction(1, 6 ** 6)
-    cert = membership(Word("12211222"), t)
+    cert = membership(Word("2221122221"), t)
     assert cert.verdict == "in" and cert.verify()
-    got = compare_bad_cuts(Word("22"), Word("221122"), t, x="1")
-    assert got.ok and got.extended_bound <= got.base_bound
-    assert not compare_bad_cuts(Word("22"), Word("22"), t, x="1").ok
-    # omega = 2: the pattern 121122 is out
+    got = compare_bad_cuts(Word("22"), Word("221122"), t, x="2")
+    assert got.ok and got.base_bound < got.extended_bound < t
+    same = compare_bad_cuts(Word("22"), Word("22"), t, x="2")
+    assert same.extended_bound == same.base_bound == got.base_bound < 3
+    # x = 1: u = 1221122222 is out, though its short pattern 12211222 is in
+    assert membership(Word("12211222"), t).verdict == "in"
+    with pytest.raises(PreconditionUnverified):
+        compare_bad_cuts(Word("22"), Word("221122"), t, x="1")
+    # omega = 2: u = 12111222 is out
     with pytest.raises(PreconditionUnverified):
         compare_bad_cuts(Word("2"), Word("2"), t)
     # a threshold membership cannot take needs a witness
     mv, _, _ = markov_value(cert.witness)
     with pytest.raises(PreconditionUnverified):
-        compare_bad_cuts(Word("22"), Word("22"), mv, x="1")
-    got = compare_bad_cuts(Word("22"), Word("22"), mv, x="1", witness=cert.witness)
+        compare_bad_cuts(Word("22"), Word("22"), mv, x="2")
+    got = compare_bad_cuts(Word("22"), Word("22"), mv, x="2", witness=cert.witness)
     assert got.extended_bound == got.base_bound
 
 
 def test_compare_bad_cuts_parses_text_threshold():
-    by_text = compare_bad_cuts(Word("22"), Word("221122"), "3+6^-6")
+    by_text = compare_bad_cuts(Word("22"), Word("221122"), "3+6^-6", x="2")
     by_value = compare_bad_cuts(Word("22"), Word("221122"),
-                                Fraction(3) + Fraction(1, 6 ** 6))
+                                Fraction(3) + Fraction(1, 6 ** 6), x="2")
     assert by_text == by_value
     assert by_text.ok and by_text.threshold == Fraction(3) + Fraction(1, 6 ** 6)
-    assert str(by_text.base_bound) == "881/286 + (-1/22)√3"
+    assert str(by_text.base_bound) == "1029993/342694 + (-1249/342694)√3"
+
+
+def test_compare_bad_cuts_certifies_the_word_it_bounds():
+    """At 3 + 6^-6, 16 pairs (omega of at most 6 digits, x) have the short
+    pattern x omega* 11 omega y in the language but the bounded word
+    u = x omega* 1122 omega y out: compare_bad_cuts refuses each, without a
+    witness and with the short pattern's own witness."""
+    t = Fraction(3) + Fraction(1, 6 ** 6)
+    refused = []
+    for n in range(7):
+        for o in map("".join, product("12", repeat=n)):
+            for x in "12":
+                y = "1" if x == "2" else "2"
+                short = membership(x + o[::-1] + "11" + o + y, t)
+                if (short.verdict != "in"
+                        or membership(x + o[::-1] + "1122" + o + y, t).verdict != "out"):
+                    continue
+                with pytest.raises(PreconditionUnverified):
+                    compare_bad_cuts(o, o, t, x=x)
+                with pytest.raises(PreconditionUnverified):
+                    compare_bad_cuts(o, o, t, x=x, witness=short.witness)
+                refused.append((o, x))
+    assert len(refused) == 16 and ("1", "1") in refused
+
+
+def test_compare_bad_cuts_finds_the_word_past_a_long_transient():
+    """The witness is searched over its transients, one period and |u| on
+    each side, so u beyond any fixed multiple of |u| from 0 is found, in a
+    long transient or only in a long period."""
+    u = "2221122221"
+    for wit in (BiSeq.make("12", "", "12" * 50 + u, "12"),
+                BiSeq.make("12", u + "12" * 50, "", "12"),
+                BiSeq.make("1", "", "", "12" * 50 + u),
+                BiSeq.make(u + "12" * 50, "", "", "2")):
+        assert u not in wit.segment(-8 * len(u) - 8, 8 * len(u) + 8)
+        got = compare_bad_cuts("22", "2211", Fraction(4), x="2", witness=wit)
+        assert got == compare_bad_cuts("22", "2211", Fraction(4), x="2",
+                                       witness=BiSeq.periodic(u))
 
 
 def test_forbidden_patterns():

@@ -1,18 +1,23 @@
-"""Source hygiene: every module of the package reads each name it imports.
+"""Source hygiene: every module of the package reads each name it imports,
+and every name a module defines at top level is read somewhere.
 
-The package's `__init__` is skipped: its imports are the public names it
-re-exports.  `from __future__` imports bind no name.
+The package's `__init__` is skipped by the import check: its imports are the
+public names it re-exports.  `from __future__` imports bind no name.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import cfspectra
 
-MODULES = sorted(p for p in Path(cfspectra.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(cfspectra.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the trees whose code may read a name of the package
+READERS = sorted([*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "tests").glob("*.py"),
+                  *(PACKAGE.parents[1] / "perfbench").glob("*.py")])
 
 
 def _unused_imports(tree):
@@ -39,3 +44,68 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nfrom .x import y as z\n"
                      "print(sep)\n")
     assert _unused_imports(tree) == [(1, "math"), (2, "path"), (3, "z")]
+
+
+def _top_level_definitions(tree):
+    """(name, first line, last line) of each function, class and assigned
+    name at module level; dunder names (module metadata) are left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out += [(name, node.lineno, node.end_lineno) for name in names
+                if not (name.startswith("__") and name.endswith("__"))]
+    return out
+
+
+def _references(tree):
+    """(name, line) of each read of a name: a loaded name, an attribute, an
+    imported name, or a string that is a dotted name (as getattr-style hooks
+    and monkeypatch targets spell them)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(alias.name, node.lineno) for alias in node.names]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+            out += [(part, node.lineno) for part in node.value.split(".")]
+    return out
+
+
+def _unread_definitions(modules, readers):
+    """The top-level definitions of modules (path -> tree) that no reader
+    (path -> tree) reads outside the definition itself."""
+    reads = {}
+    for path, tree in readers.items():
+        for name, line in _references(tree):
+            reads.setdefault(name, []).append((path, line))
+    return sorted((path.name, name) for path, tree in modules.items()
+                  for name, first, last in _top_level_definitions(tree)
+                  if not any(p != path or not first <= line <= last
+                             for p, line in reads.get(name, ())))
+
+
+def test_every_top_level_name_is_read():
+    trees = {path: ast.parse(path.read_text()) for path in READERS}
+    modules = {path: trees[path] for path in PACKAGE.glob("*.py")}
+    assert _unread_definitions(modules, trees) == []
+
+
+def test_the_check_sees_an_unread_definition():
+    mod = ast.parse("__version__ = '1'\nLIMIT = 3\nCAP, _spare = 4, 5\n"
+                    "def f(n):\n    return f(n - 1) + CAP\n"
+                    "class K:\n    pass\n"
+                    "def g():\n    return K\n")
+    other = ast.parse("import m\nm.g()\nhook = ('m', 'LIMIT')\ndoc = 'f is unused'\n")
+    m, t = Path("m.py"), Path("t.py")
+    assert _unread_definitions({m: mod}, {m: mod, t: other}) == [("m.py", "_spare"),
+                                                                 ("m.py", "f")]

@@ -420,7 +420,7 @@ def test_position_pass_matches_position_and_bar_scans(s, t, cap):
     live in both has the same base and forward matrix."""
     th = lang.Threshold.of(t)
     tables = lang.tail_tables_for(th, cap)
-    assert (lang._position_violation(s, th, tables)
+    assert ((lang._bound_build(s, th, tables) is None)
             == _position_violation_reference(s, th, tables))
     bound = lang._bound_build(s[0], th, tables)
     for k in range(1, len(s) + 1):

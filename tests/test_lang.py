@@ -122,6 +122,42 @@ def test_certificates_and_serialization():
     assert obj["count"] == len(ls.words) == len(obj["words"])
 
 
+def test_certificate_verify_rejects_a_witness_without_the_word():
+    """per(22) has Markov value sqrt(8) < 3 but does not contain 2211."""
+    cert = membership(Word("2211"), Fraction(3))
+    assert cert.verdict == "in" and cert.verify()
+    forged = lang.MembershipCertificate(cert.word, cert.threshold, "in",
+                                        BiSeq.periodic("22"))
+    assert markov_value(forged.witness)[0] < 3 and not forged.verify()
+
+
+def test_sigma_streams_each_survivor_into_membership(monkeypatch):
+    """sigma_enumerate certifies each survivor as the prefix tree finds it:
+    membership is first called before the tree's last push, so the
+    survivors' bounds are never held as a list."""
+    events, inside = [], []
+    push, member = lang._bound_push, lang.membership
+
+    def push_spy(*args):
+        if not inside:  # the tree's own pushes, not membership's search
+            events.append("push")
+        return push(*args)
+
+    def member_spy(*args, **kwargs):
+        events.append("membership")
+        inside.append(True)
+        try:
+            return member(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lang, "_bound_push", push_spy)
+    monkeypatch.setattr(lang, "membership", member_spy)
+    sigma_enumerate("3+6^-6", 12)
+    last_push = len(events) - 1 - events[::-1].index("push")
+    assert events.index("membership") < last_push
+
+
 def test_membership_odd_run_and_slide_refutations():
     assert membership(Word("2" + "1" * 17 + "22"), Fraction(3)).verdict == "out"
     slide = "1" * 12 + "22" + "1" * 10 + "22" + "1" * 8 + "22"

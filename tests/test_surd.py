@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -159,6 +160,25 @@ def test_hash_agrees_with_equality():
     a, b = QuadSurd(1, 1, 3, 20402), QuadSurd(1, 101, 3, 2)
     assert a == b and len({a, b}) == 1
     assert len({QuadSurd(0, 1, 1, 2), QuadSurd(0, -1, 1, 2)}) == 2
+
+
+@pytest.mark.parametrize("value", [SurdSum({1: Fraction(3, 2)}), QuadSurd(3, 0, 2)],
+                         ids=["SurdSum", "QuadSurd"])
+def test_order_declines_what_equality_declines(value):
+    """Ordering takes exactly the operands equality takes: a float or a str
+    is neither equal nor ordered (TypeError), on either side."""
+    orders = (operator.lt, operator.le, operator.gt, operator.ge)
+    for other in (1.5, "2", "3/2"):
+        assert value != other and not value == other
+        for op in orders:
+            with pytest.raises(TypeError):
+                op(value, other)
+            with pytest.raises(TypeError):
+                op(other, value)
+    for other in (Fraction(3, 2), QuadSurd(3, 0, 2), SurdSum({1: Fraction(3, 2)})):
+        assert value == other and value <= other and value >= other
+        assert not (value < other or value > other)
+    assert value < 2 and 2 > value and value > 1 and 1 < value
 
 
 def test_refine_doubles_until_decided_and_raises_past_the_cap():
