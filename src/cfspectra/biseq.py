@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import lambda_between, periodic_fixpoint
+from .cf import cf_matrix, lambda_between, periodic_fixpoint
 from .errors import DomainError
 from .surd import SurdSum
 from .words import Word
@@ -46,15 +46,15 @@ class BiSeq:
         return cls(p, Word(""), Word(""), p)
 
     def digit(self, i):
-        tr, tl = self.right_transient.digits, self.left_transient.digits
+        tr, tl = self.right_transient.letters, self.left_transient.letters
         if i >= 0:
             if i < len(tr):
                 return tr[i]
-            return self.right_period.digits[(i - len(tr)) % len(self.right_period)]
+            return self.right_period.letters[(i - len(tr)) % len(self.right_period)]
         j = -1 - i  # offset from the right end of the left side
         if j < len(tl):
             return tl[len(tl) - 1 - j]
-        lp = self.left_period.digits
+        lp = self.left_period.letters
         return lp[len(lp) - 1 - (j - len(tl)) % len(lp)]
 
     def segment(self, lo, hi):
@@ -68,16 +68,16 @@ class BiSeq:
         if k < 0:
             return self.transpose().shift(-k).transpose()
         n = len(self.right_transient)
-        return BiSeq(self.left_period, Word(self.left_transient.digits + self.segment(0, k)),
+        return BiSeq(self.left_period, Word(self.left_transient.letters + self.segment(0, k)),
                      Word(self.segment(k, n)),
-                     Word(_rotate(self.right_period.digits, max(k, n) - n)))
+                     Word(_rotate(self.right_period.letters, max(k, n) - n)))
 
     def transpose(self):
         """Mirror the sequence about the origin (position i maps to -1-i)."""
-        return BiSeq(Word(self.right_period.digits[::-1]),
-                     Word(self.right_transient.digits[::-1]),
-                     Word(self.left_transient.digits[::-1]),
-                     Word(self.left_period.digits[::-1]))
+        return BiSeq(Word(self.right_period.letters[::-1]),
+                     Word(self.right_transient.letters[::-1]),
+                     Word(self.left_transient.letters[::-1]),
+                     Word(self.left_period.letters[::-1]))
 
     def __repr__(self):
         return "BiSeq(per(%s) %s | %s per(%s))" % (
@@ -92,8 +92,8 @@ def lambda_at(s, i):
     of the periods rotated to the phases where the digits stop."""
     nl, nr = len(s.left_transient), len(s.right_transient)
     lo, hi = min(i, -nl), max(i + 1, nr)
-    right = periodic_fixpoint(_rotate(s.right_period.digits, hi - nr))
-    left = periodic_fixpoint(_rotate(s.left_period.digits[::-1], -lo - nl))
+    right = periodic_fixpoint(_rotate(s.right_period.letters, hi - nr))
+    left = periodic_fixpoint(_rotate(s.left_period.letters[::-1], -lo - nl))
     return SurdSum.from_value(lambda_between(s.segment(lo, hi), i - lo, left, right))
 
 
@@ -101,30 +101,29 @@ def _markov_periodic(period):
     """(D, c, i): the Markov value of the two-sided periodic sequence is
     sqrt(D) / c, attained first at phase i, found with integer work only.
 
-    Let M_i = A(p_i) A(p_{i+1}) ... A(p_{i-1}), A(d) = ((d, 1), (1, 0)), be
-    the matrix of the period rotated to start at phase i.  The forward value
-    x_i = [p_i; p_{i+1}, ...] is the fixed point of M_i, and by Galois'
-    theorem on purely periodic continued fractions its conjugate is
+    Let G_i = G(p_i) G(p_{i+1}) ... G(p_{i-1}) be cf_matrix of the period
+    rotated to start at phase i, and M_i = J G_i J the same product of
+    A(d) = J G(d) J = ((d, 1), (1, 0)), J = ((0, 1), (1, 0)).  The forward
+    value x_i = [p_i; p_{i+1}, ...] is the fixed point of M_i, and by
+    Galois' theorem on purely periodic continued fractions its conjugate is
     -[0; p_{i-1}, p_{i-2}, ...].  So lambda at phase i is the difference of
-    the two fixed points, sqrt(D) / c_i, with c_i the lower-left entry of M_i
-    and D = tr(M_i)^2 - 4 det(M_i) the same for every rotation.  The sup is
-    sqrt(D) / min c_i, attained first at the first phase with the least c_i.
-    Successive rotations are conjugates, M_{i+1} = A(p_i)^-1 M_i A(p_i), one
+    the two fixed points, sqrt(D) / c_i, with c_i the lower-left entry of
+    M_i, which is g01 of G_i, and D = tr(G_i)^2 - 4 det(G_i) the same for
+    every rotation.  The sup is sqrt(D) / min c_i, attained first at the
+    first phase with the least c_i.  Successive rotations are conjugates,
+    G_{i+1} = G(p_i)^-1 G_i G(p_i) with G(d)^-1 = ((-d, 1), (1, 0)), one
     O(1) integer step per phase.
     """
     p = str(period)
-    a, b, c, e = 1, 0, 0, 1
-    for ch in p:
-        d = int(ch)
-        a, b, c, e = a * d + b, a, c * d + e, c
-    disc = (a + e) ** 2 - 4 * (a * e - b * c)
-    best_c, best_i = c, 0
+    g00, g01, g10, g11 = cf_matrix(p)
+    disc = (g00 + g11) ** 2 - 4 * (g00 * g11 - g01 * g10)
+    best_c, best_i = g01, 0
     for i, ch in enumerate(p[:-1]):
         d = int(ch)
-        f = a - d * c  # A(d)^-1 M = ((c, e), (f, b - d e))
-        a, b, c, e = c * d + e, c, f * d + b - d * e, f
-        if c < best_c:
-            best_c, best_i = c, i + 1
+        e = g11 - d * g01  # G(d)^-1 G_i = ((g10 - d g00, e), (g00, g01))
+        g00, g01, g10, g11 = e, g10 - d * g00 + d * e, g01, g00 + d * g01
+        if g01 < best_c:
+            best_c, best_i = g01, i + 1
     return disc, best_c, best_i
 
 
@@ -144,7 +143,7 @@ def markov_value(s):
     index is None.
     """
     if (not s.left_transient and not s.right_transient
-            and s.left_period.digits == s.right_period.digits):
+            and s.left_period.letters == s.right_period.letters):
         disc, c, i = _markov_periodic(s.right_period)
         return SurdSum({disc: Fraction(1, c)}), True, i
     lo = -(len(s.left_transient) + 2 * len(s.left_period) + 2)

@@ -13,7 +13,6 @@ every extremum over a range of tails is extremal_image.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -39,9 +38,13 @@ def mat_mul(a, b):
 
 
 def cf_matrix(w):
-    """G(w) for a digit word (Word or str)."""
+    """G(w) for a digit word (Word or str); DomainError for a letter other
+    than 1 or 2."""
+    s = str(w)
+    if s.strip("12"):
+        raise DomainError("digits must be 1 or 2: %r" % s)
     g = IDENTITY
-    for ch in str(w):
+    for ch in s:
         g00, g01, g10, g11 = g
         d = 1 if ch == "1" else 2
         g = (g01, g00 + g01 * d, g11, g10 + g11 * d)
@@ -105,48 +108,51 @@ def iv_prec(bits):
         mpmath.iv.prec = old
 
 
+def _certified_floor(enclose, bits):
+    """floor(v) for an irrational v >= 0, from the interval that enclose()
+    computes in mpmath's interval context at bits, 2*bits, 4*bits, ...
+
+    Both ends are read with the exact int() of an interval endpoint, which
+    truncates toward zero, never through a float or mpmath.floor, which
+    rounds at mpmath's working precision.  Equal truncations of both ends
+    equal floor(v): ends >= 0 truncate to their floors, and an end in
+    (-1, 0) truncates to 0 only together with an upper end below 1, where
+    floor(v) = 0.  v is irrational, so the ends separate from every integer.
+    """
+    def decide(bits):
+        with iv_prec(bits):
+            iv = enclose()
+            lo, hi = int(iv.a), int(iv.b)
+        return lo if lo == hi else None
+
+    return refine(decide, bits)
+
+
 def floor_log(x):
     """floor(ln x) for a rational x >= 1, certified by interval arithmetic.
 
     ln x is irrational for rational x != 1, so the floor is always decidable.
-    Endpoints are positive except near x = 1, so math.floor, which goes
-    through a float rounded toward zero, reads them exactly.
     """
     x = Fraction(x)
     if x < 1:
         raise DomainError("floor_log needs x >= 1")
     if x == 1:
         return 0
-
-    def decide(bits):
-        with iv_prec(bits):
-            iv = mpmath.iv.log(mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator))
-            lo, hi = math.floor(iv.a), math.floor(iv.b)
-        return lo if lo == hi else None
-
-    return refine(decide, 64)
+    return _certified_floor(
+        lambda: mpmath.iv.log(mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)), 64)
 
 
 def floor_exp(k):
     """floor(e^k) for an integer k >= 0, certified by interval arithmetic.
 
     e^k is irrational for k >= 1, so the floor is always decidable.  It has
-    about 1.44 k bits, so the endpoints are read with the exact int() of an
-    interval endpoint, never through a float or mpmath.floor, which rounds
-    at mpmath's working precision.
+    about 1.44 k bits, so the search starts at 64 + 2k bits.
     """
     if k < 0:
         raise DomainError("floor_exp needs k >= 0")
     if k == 0:
         return 1
-
-    def decide(bits):
-        with iv_prec(bits):
-            iv = mpmath.iv.exp(k)
-            lo, hi = int(iv.a), int(iv.b)
-        return lo if lo == hi else None
-
-    return refine(decide, 64 + 2 * k)
+    return _certified_floor(lambda: mpmath.iv.exp(k), 64 + 2 * k)
 
 
 def r_exponent(w):
@@ -193,12 +199,21 @@ def extremal_image(prefix, hi, lo, mode):
     return tail_image(prefix, end)
 
 
+def digit_at(w, i):
+    """The digit w[i] of a digit string as an int; DomainError unless it is
+    1 or 2."""
+    ch = w[i]
+    if ch != "1" and ch != "2":
+        raise DomainError("digits must be 1 or 2: %r at %d of %r" % (ch, i, w))
+    return int(ch)
+
+
 def lambda_between(w, i, left, right):
     """lambda at position i of the digit string w between two tails of known
     value: w continued on the right by a tail X with [0; X] = right, and on
     the left, read leftward, by one with value left.  That is
     w_i + [0; w_{i+1}, ..., X] + [0; w_{i-1}, ..., w_0, X'], exactly."""
-    return int(w[i]) + tail_image(w[i + 1:], right) + tail_image(w[:i][::-1], left)
+    return digit_at(w, i) + tail_image(w[i + 1:], right) + tail_image(w[:i][::-1], left)
 
 
 def extremal_tail(prefix, mode):

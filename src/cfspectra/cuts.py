@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .biseq import markov_value
-from .cf import TAIL_MAX, TAIL_MIN, extremal_tail, lambda_between
+from .cf import TAIL_MAX, TAIL_MIN, digit_at, extremal_tail, lambda_between
 from .errors import DomainError, PreconditionUnverified, TemplateMismatch
 from .lang import Threshold, membership, parse_threshold
 from .surd import SurdSum
@@ -48,7 +48,7 @@ def position_bounds(word, i):
     prints.  Kept apart, this route can check lang's refutations
     independently."""
     s = str(word)
-    d = int(s[i])
+    d = digit_at(s, i)
     fmax = extremal_tail(s[i + 1:], "max")
     fmin = extremal_tail(s[i + 1:], "min")
     back = s[:i][::-1]
@@ -243,9 +243,9 @@ def forbidden_pattern_check(w, alphabet, n):
     """
     s = str(w)
     u, v = alphabet.alpha, alphabet.beta
-    ud, vd = u.to_word().digits, v.to_word().digits
-    up = u.head().to_word().digits
-    vm = v.body().to_word().digits
+    ud, vd = u.to_word().letters, v.to_word().letters
+    up = u.head().to_word().letters
+    vm = v.body().to_word().letters
     hits = []
 
     def scan(name, pattern):

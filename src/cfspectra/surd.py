@@ -95,7 +95,31 @@ def _merge_terms(pairs):
     return {d: c for d, c in terms.items() if c}
 
 
-class SurdSum:
+class _Ordered:
+    """==, <, <=, > and >= through the subclass's _cmp(other), the exact sign
+    of self - other.  Every comparison takes exactly the exact operands,
+    _EXACT, and declines the rest (a float or a str then raises TypeError
+    when ordered).  A subclass that defines no __hash__ is unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self._cmp(other) == 0 if isinstance(other, _EXACT) else NotImplemented
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0 if isinstance(other, _EXACT) else NotImplemented
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0 if isinstance(other, _EXACT) else NotImplemented
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0 if isinstance(other, _EXACT) else NotImplemented
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0 if isinstance(other, _EXACT) else NotImplemented
+
+
+class SurdSum(_Ordered):
     """c0 + c1*sqrt(D1) + c2*sqrt(D2) + ... with rational coefficients.
 
     Markov/lambda values use at most two radicals; differences formed during
@@ -227,24 +251,8 @@ class SurdSum:
             return -1
         return None
 
-    # every comparison takes exactly the exact operands, _EXACT, and
-    # declines the rest (a float or a str then raises TypeError when ordered)
-    def __eq__(self, other):
-        return (self - other).sign() == 0 if isinstance(other, _EXACT) else NotImplemented
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0 if isinstance(other, _EXACT) else NotImplemented
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0 if isinstance(other, _EXACT) else NotImplemented
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0 if isinstance(other, _EXACT) else NotImplemented
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0 if isinstance(other, _EXACT) else NotImplemented
-
-    __hash__ = None
+    def _cmp(self, other):
+        return (self - other).sign()
 
     def __float__(self):
         """The float nearest the value: the enclosure is refined until both
@@ -312,7 +320,7 @@ class SurdSum:
         return "SurdSum(%s)" % dict(self.terms)
 
 
-class QuadSurd:
+class QuadSurd(_Ordered):
     """Exact (p + q*sqrt(d))/r with integer p, q, r and d >= 0, r > 0.
 
     Canonical form: gcd(p, q, r) = 1, r > 0, small square factors of d pulled
@@ -456,21 +464,6 @@ class QuadSurd:
         if isinstance(other, QuadSurd) and self._same_field(other):
             return (self - other).sign()
         return (self.to_sum() - SurdSum.from_value(other)).sign()
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0 if isinstance(other, _EXACT) else NotImplemented
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0 if isinstance(other, _EXACT) else NotImplemented
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0 if isinstance(other, _EXACT) else NotImplemented
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0 if isinstance(other, _EXACT) else NotImplemented
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0 if isinstance(other, _EXACT) else NotImplemented
 
     def __hash__(self):
         if self.q == 0:

@@ -11,52 +11,16 @@ _SUBST = {
 
 
 @dataclass(frozen=True)
-class Word:
-    """A finite digit string over {1,2}."""
-
-    digits: str
-
-    def __post_init__(self):
-        if set(self.digits) - {"1", "2"}:
-            raise ValueError("word digits must be 1 or 2: %r" % self.digits)
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        got = self.digits[i]
-        return Word(got) if isinstance(i, slice) else got
-
-    def __add__(self, other):
-        return Word(self.digits + (other.digits if isinstance(other, Word) else str(other)))
-
-    def __bool__(self):
-        return bool(self.digits)
-
-    def transpose(self):
-        """Reversal w* = a_n...a_1."""
-        return Word(self.digits[::-1])
-
-    def __str__(self):
-        return self.digits
-
-    def __contains__(self, other):
-        sub = other.digits if isinstance(other, Word) else str(other)
-        return sub in self.digits
-
-
-@dataclass(frozen=True)
-class ABWord:
-    """A finite word over the block letters a = 22, b = 11."""
+class _Letters:
+    """The protocol the word types share: a string over the class's
+    _ALPHABET, checked on construction.  Slices, sums and reversals keep the
+    type; words of two types never compare equal."""
 
     letters: str
 
     def __post_init__(self):
-        if set(self.letters) - {"a", "b"}:
-            raise ValueError("letters must be a or b: %r" % self.letters)
+        if set(self.letters) - self._ALPHABET:
+            raise ValueError(self._INVALID % self.letters)
 
     def __len__(self):
         return len(self.letters)
@@ -66,32 +30,50 @@ class ABWord:
 
     def __getitem__(self, i):
         got = self.letters[i]
-        return ABWord(got) if isinstance(i, slice) else got
+        return type(self)(got) if isinstance(i, slice) else got
 
     def __add__(self, other):
-        return ABWord(self.letters + (other.letters if isinstance(other, ABWord) else str(other)))
-
-    def __mul__(self, k):
-        return ABWord(self.letters * k)
+        return type(self)(self.letters + str(other))
 
     def __bool__(self):
         return bool(self.letters)
 
     def __contains__(self, other):
-        sub = other.letters if isinstance(other, ABWord) else str(other)
-        return sub in self.letters
+        return str(other) in self.letters
 
     def transpose(self):
-        """Reversal; commutes with the digit image since a and b are palindromes."""
-        return ABWord(self.letters[::-1])
+        """Reversal w* = a_n...a_1."""
+        return type(self)(self.letters[::-1])
+
+    def __str__(self):
+        return self.letters
+
+
+class Word(_Letters):
+    """A finite digit string over {1,2}."""
+
+    _ALPHABET = frozenset("12")
+    _INVALID = "word digits must be 1 or 2: %r"
+
+
+class ABWord(_Letters):
+    """A finite word over the block letters a = 22, b = 11.  Reversal
+    commutes with the digit image, since a and b are palindromes."""
+
+    _ALPHABET = frozenset("ab")
+    _INVALID = "letters must be a or b: %r"
+
+    def __mul__(self, k):
+        return ABWord(self.letters * k)
 
     def to_word(self):
         return Word("".join("22" if c == "a" else "11" for c in self.letters))
 
     @classmethod
     def from_word(cls, w):
-        """Parse a digit word into blocks; every run of equal digits must be even."""
-        s = w.digits if isinstance(w, Word) else str(w)
+        """Parse a digit word into blocks; every run of equal digits must be
+        even.  Raises ValueError for a letter other than 1 or 2."""
+        s = Word(str(w)).letters
         out = []
         i = 0
         while i < len(s):
@@ -116,31 +98,12 @@ class ABWord:
         """w- : drop the last letter (empty word for length <= 1)."""
         return ABWord(self.letters[:-1])
 
-    def __str__(self):
-        return self.letters
 
-
-@dataclass(frozen=True)
-class UVWord:
+class UVWord(_Letters):
     """A finite word over the Nielsen substitution names U, V."""
 
-    letters: str
-
-    def __post_init__(self):
-        if set(self.letters) - {"U", "V"}:
-            raise ValueError("letters must be U or V: %r" % self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __add__(self, other):
-        return UVWord(self.letters + (other.letters if isinstance(other, UVWord) else str(other)))
-
-    def __str__(self):
-        return self.letters
+    _ALPHABET = frozenset("UV")
+    _INVALID = "letters must be U or V: %r"
 
 
 def apply_subst(w_uv, w_ab):
@@ -158,5 +121,5 @@ def apply_subst(w_uv, w_ab):
 
 
 def transpose(w):
-    """Reversal of a Word or ABWord (same type back)."""
+    """Reversal of a word of any of the three types (same type back)."""
     return w.transpose()

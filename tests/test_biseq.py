@@ -114,7 +114,7 @@ def _phase_sup_reference(s, i0, step):
 
 def _markov_value_reference(s):
     if (not s.left_transient and not s.right_transient
-            and s.left_period.digits == s.right_period.digits):
+            and s.left_period.letters == s.right_period.letters):
         disc, c, i = _markov_periodic(s.right_period)
         return SurdSum({disc: Fraction(1, c)}), True, i
     nl, nr = len(s.left_period), len(s.right_period)
@@ -206,7 +206,7 @@ def test_markov_value_against_truncated_cf():
 
 def _tail0_reference(s, i):
     """[0; s_i, s_{i+1}, ...]: the former BiSeq._tail0."""
-    n, p = len(s.right_transient), s.right_period.digits
+    n, p = len(s.right_transient), s.right_period.letters
     k = (max(i, n) - n) % len(p)
     return tail_image(s.segment(i, n), periodic_fixpoint(p[k:] + p[:k]))
 

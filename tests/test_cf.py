@@ -4,9 +4,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cfspectra.cf import (cylinder, cylinder_length, eval_cf, extremal_image,
-                          extremal_tail, floor_log, periodic_fixpoint,
-                          r_exponent, tail_image)
+from cfspectra.cf import (TAIL_MAX, TAIL_MIN, cylinder, cylinder_length, eval_cf,
+                          extremal_image, extremal_tail, floor_exp, floor_log,
+                          lambda_between, periodic_fixpoint, r_exponent, tail_image)
 from cfspectra.dimension import _tail_extremes
 from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum
@@ -88,6 +88,31 @@ def test_floor_log_at_integer_boundaries():
     assert floor_log(Fraction(7, 2)) == 1
     with pytest.raises(DomainError):
         floor_log(Fraction(1, 2))
+    # ln x is in (0, 2^-200): the lower end truncates to 0 from either side
+    assert floor_log(1 + Fraction(1, 2 ** 200)) == 0
+
+
+def test_floor_exp_matches_a_wide_floor():
+    with mpmath.workdps(1000):
+        tops = [int(mpmath.floor(mpmath.exp(k))) for k in range(1, 401)]
+    assert [floor_exp(k) for k in range(1, 401)] == tops
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_cf("13"),
+    lambda: cylinder("x"),
+    lambda: cylinder_length("3"),
+    lambda: periodic_fixpoint("13"),
+    lambda: r_exponent("x"),
+    lambda: tail_image("3", TAIL_MAX),
+    lambda: extremal_tail("3", "max"),
+    lambda: lambda_between("131", 1, TAIL_MIN, TAIL_MAX),
+    lambda: lambda_between("3", 0, TAIL_MIN, TAIL_MAX),
+], ids=["eval_cf", "cylinder", "cylinder_length", "periodic_fixpoint", "r_exponent",
+        "tail_image", "extremal_tail", "lambda_between", "lambda_between_digit"])
+def test_a_digit_other_than_1_or_2_is_refused(call):
+    with pytest.raises(DomainError, match="digits must be 1 or 2"):
+        call()
 
 
 def test_r_exponent_growth_bounds():

@@ -71,6 +71,12 @@ def _classify_reference(cut):
     return ("unresolved", CUT_DEPTH, strs) if capped else ("bad", None, strs)
 
 
+def test_position_bounds_refuses_a_digit_other_than_1_or_2():
+    for word, i in (("131", 1), ("131", 0), ("3", 0)):
+        with pytest.raises(DomainError, match="digits must be 1 or 2"):
+            position_bounds(word, i)
+
+
 def test_mixed_cut_anchors():
     for text, depth in (("2|2111111", 9), ("2|2111122", 5), ("12|211111", 3),
                         ("1112|2", 2), ("2|2112112", 1)):

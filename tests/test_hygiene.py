@@ -1,11 +1,13 @@
 """Source hygiene: every module of the package reads each name it imports,
-and every name a module defines at top level is read somewhere.
+every name a module defines at top level is read somewhere, and no two
+classes of one module define a method with the same body.
 
 The package's `__init__` is skipped by the import check: its imports are the
 public names it re-exports.  `from __future__` imports bind no name.
 """
 
 import ast
+import copy
 import re
 from pathlib import Path
 
@@ -109,3 +111,63 @@ def test_the_check_sees_an_unread_definition():
     m, t = Path("m.py"), Path("t.py")
     assert _unread_definitions({m: mod}, {m: mod, t: other}) == [("m.py", "_spare"),
                                                                  ("m.py", "f")]
+
+
+class _Normalize(ast.NodeTransformer):
+    """Blank what may differ between two copies of one method: attribute
+    names, string constants and the defining class's own name."""
+
+    def __init__(self, cls_name):
+        self.cls_name = cls_name
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+        node.attr = "_"
+        return node
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            node.value = "_"
+        return node
+
+    def visit_Name(self, node):
+        if node.id == self.cls_name:
+            node.id = "_"
+        return node
+
+
+def _copied_methods(tree):
+    """(method, classes) for each method that two or more classes of one
+    module define with equal bodies, compared with docstrings dropped and
+    the names _Normalize blanks."""
+    seen = {}
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            fn = copy.deepcopy(fn)
+            if ast.get_docstring(fn, clean=False) is not None:
+                fn.body = fn.body[1:]
+            key = fn.name, ast.dump(_Normalize(cls.name).visit(fn))
+            seen.setdefault(key, []).append(cls.name)
+    return sorted((name, tuple(classes)) for (name, _), classes in seen.items()
+                  if len(classes) > 1)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_method_is_copied_between_classes(path):
+    assert _copied_methods(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_copied_method():
+    tree = ast.parse(
+        "class A:\n"
+        "    def __len__(self):\n        return len(self.xs)\n"
+        "    def grow(self, k):\n        '''A longer A.'''\n        return A(self.xs * k, 'a')\n"
+        "    def step(self):\n        return self.xs + 1\n"
+        "class B:\n"
+        "    def __len__(self):\n        return len(self.ys)\n"
+        "    def grow(self, k):\n        return B(self.ys * k, 'b')\n"
+        "    def step(self):\n        return self.ys - 1\n"
+        "    def other(self):\n        return len(self.ys)\n")
+    assert _copied_methods(tree) == [("__len__", ("A", "B")), ("grow", ("A", "B"))]
