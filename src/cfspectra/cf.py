@@ -177,26 +177,29 @@ def periodic_fixpoint(period):
     return QuadSurd(-b, 1, 2 * a, b * b - 4 * a * c)
 
 
-def tail_image(prefix, x):
-    """[0; prefix, X] exactly, for a QuadSurd x = [0; X]: the Moebius image
-    of x under G(prefix)."""
-    s = str(prefix)
-    if not s:
-        return x
-    g00, g01, g10, g11 = cf_matrix(s)
+def _mobius(g, x):
+    """(g00*x + g01) / (g10*x + g11) for a matrix g and a QuadSurd x."""
+    g00, g01, g10, g11 = g
     num = QuadSurd(g00 * x.p + g01 * x.r, g00 * x.q, 1, x.d)
     den = QuadSurd(g10 * x.p + g11 * x.r, g10 * x.q, 1, x.d)
     return num / den
 
 
-def extremal_image(prefix, hi, lo, mode):
-    """max or min of [0; prefix, X] over the tails X with lo <= [0; X] <= hi,
-    for QuadSurd bounds attained by some tail: the image of hi or lo, as
-    G(prefix) preserves orientation iff the prefix has even length."""
-    if mode not in ("max", "min"):
-        raise DomainError("mode must be 'max' or 'min'")
-    end = hi if (mode == "max") == (len(str(prefix)) % 2 == 0) else lo
-    return tail_image(prefix, end)
+def tail_image(prefix, x):
+    """[0; prefix, X] exactly, for a QuadSurd x = [0; X]: the Moebius image
+    of x under G(prefix)."""
+    s = str(prefix)
+    return _mobius(cf_matrix(s), x) if s else x
+
+
+def extremal_image(prefix, hi, lo):
+    """(min, max) of [0; prefix, X] over the tails X with lo <= [0; X] <= hi,
+    for QuadSurd bounds attained by some tail: the images of lo and hi under
+    one G(prefix), which preserves their order iff the prefix has even
+    length."""
+    g = cf_matrix(prefix)
+    a, b = _mobius(g, lo), _mobius(g, hi)
+    return (a, b) if len(str(prefix)) % 2 == 0 else (b, a)
 
 
 def digit_at(w, i):
@@ -216,8 +219,8 @@ def lambda_between(w, i, left, right):
     return digit_at(w, i) + tail_image(w[i + 1:], right) + tail_image(w[:i][::-1], left)
 
 
-def extremal_tail(prefix, mode):
-    """Extremal value of [0; prefix, t...] over all infinite {1,2}-tails t:
-    the free-tail case of extremal_image, whose bounds [0;(21)^inf] and
+def extremal_tail(prefix):
+    """(min, max) of [0; prefix, t...] over all infinite {1,2}-tails t: the
+    free-tail case of extremal_image, whose bounds [0;(21)^inf] and
     [0;(12)^inf] are attained by the alternating periodic tails."""
-    return extremal_image(prefix, TAIL_MAX, TAIL_MIN, mode)
+    return extremal_image(prefix, TAIL_MAX, TAIL_MIN)

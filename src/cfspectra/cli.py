@@ -147,6 +147,8 @@ def cmd_renorm(args):
 
 
 def cmd_sigma(args):
+    if args.enum_budget <= 0:
+        raise errors.DomainError("the enumeration budget must be positive")
     ls = sigma_enumerate(args.t, args.n, max_depth=args.enum_budget)
     if args.verify:
         for w in ls.sorted_words():
@@ -264,11 +266,12 @@ def _add_common(p, suppress):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--format", "-f", choices=("text", "json", "csv"),
                    default=d("text"))
-    p.add_argument("--enum-budget", type=int, default=d(28),
-                   help="refutation depth budget for membership searches")
     p.add_argument("--timing", action="store_true", default=d(False),
                    help="report elapsed time (kept out of deterministic output)")
-    p.add_argument("--verify", action="store_true", default=d(False),
+
+
+def _add_verify(q):
+    q.add_argument("--verify", action="store_true",
                    help="re-check results through independent code paths")
 
 
@@ -288,6 +291,7 @@ def build_parser():
     q = add("eval", help="markov value or lambda of a sequence")
     q.add_argument("--seq", required=True)
     q.add_argument("--at", type=int, default=None)
+    _add_verify(q)
     q.set_defaults(fn=cmd_eval)
 
     q = add("interval", help="exact cylinder of a word")
@@ -310,6 +314,9 @@ def build_parser():
     q = add("sigma", help="enumerate the level-t language")
     q.add_argument("--t", required=True)
     q.add_argument("--n", type=int, required=True)
+    q.add_argument("--enum-budget", type=int, default=28,
+                   help="refutation depth budget for membership searches")
+    _add_verify(q)
     q.set_defaults(fn=cmd_sigma)
 
     q = add("cuts", help="classify a cut")
@@ -320,6 +327,7 @@ def build_parser():
     q.add_argument("--w", required=True, help="{U,V}-word")
     q.add_argument("--cut", required=True)
     q.add_argument("--kind", required=True, choices=tuple(PUSH_TEMPLATES))
+    _add_verify(q)
     q.set_defaults(fn=cmd_pushcut)
 
     q = add("connect", help="Farey connecting sequences")
@@ -359,8 +367,6 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 3
     t0 = time.time()
     try:
-        if args.enum_budget <= 0:
-            raise errors.DomainError("the enumeration budget must be positive")
         code, payload, lines = args.fn(args)
     except (errors.SpectraError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)

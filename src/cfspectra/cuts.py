@@ -49,11 +49,8 @@ def position_bounds(word, i):
     independently."""
     s = str(word)
     d = digit_at(s, i)
-    fmax = extremal_tail(s[i + 1:], "max")
-    fmin = extremal_tail(s[i + 1:], "min")
-    back = s[:i][::-1]
-    bmax = extremal_tail(back, "max")
-    bmin = extremal_tail(back, "min")
+    fmin, fmax = extremal_tail(s[i + 1:])
+    bmin, bmax = extremal_tail(s[:i][::-1])
     return d + fmin + bmin, d + fmax + bmax
 
 

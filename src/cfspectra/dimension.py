@@ -253,8 +253,8 @@ def certify_blocks(blocks, t):
         for p in range(m):
             # forward: rest of this block, then any block tail; backward: the
             # reversed head of this block, then any reversed-block tail
-            fwd = extremal_image(b0[p + 1:], sup_f, inf_f, "max")
-            bwd = extremal_image(b0[:p][::-1], sup_b, inf_b, "max")
+            _, fwd = extremal_image(b0[p + 1:], sup_f, inf_f)
+            _, bwd = extremal_image(b0[:p][::-1], sup_b, inf_b)
             lam = SurdSum.from_value(fwd) + bwd + int(b0[p])
             if (lam - t).sign() > 0:
                 return False

@@ -2,10 +2,15 @@
 
 Values are represented exactly: a QuadSurd is (p + q*sqrt(d))/r with integer
 components, a SurdSum is a rational plus finitely many rational multiples of
-square roots.  Sign determination never rounds: radicands are merged whenever
-their product is a perfect square (an integer-sqrt test, no factoring), after
-which the remaining radicals are linearly independent over Q, so a nonzero
-sum separates from zero under interval refinement.
+square roots.  The library reaches every certified value by addition and
+comparison alone, so each type carries only what that needs: a QuadSurd is
+the field Q(sqrt(d)) of its one radicand, and a SurdSum adds, subtracts and
+orders, with no product, quotient or power.
+
+Sign determination never rounds: radicands are merged whenever their product
+is a perfect square (an integer-sqrt test, no factoring), after which the
+remaining radicals are linearly independent over Q, so a nonzero sum
+separates from zero under interval refinement.
 """
 
 from __future__ import annotations
@@ -123,7 +128,8 @@ class SurdSum(_Ordered):
     """c0 + c1*sqrt(D1) + c2*sqrt(D2) + ... with rational coefficients.
 
     Markov/lambda values use at most two radicals; differences formed during
-    comparisons may carry more, which this class supports uniformly.
+    comparisons may carry more, which this class supports uniformly.  Sums
+    add, subtract, negate and order; *, / and ** raise TypeError.
     """
 
     __slots__ = ("_terms",)
@@ -146,21 +152,6 @@ class SurdSum(_Ordered):
         """Sorted (radicand, coefficient) pairs; radicand 1 is the rational part."""
         return tuple(sorted(self._terms.items()))
 
-    @property
-    def rational_part(self):
-        return self._terms.get(1, Fraction(0))
-
-    def radical_count(self):
-        return sum(1 for d in self._terms if d != 1)
-
-    def is_rational(self):
-        return self.radical_count() == 0
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("not rational: %s" % self)
-        return self.rational_part
-
     def __add__(self, other):
         o = SurdSum.from_value(other)
         merged = dict(self._terms)
@@ -178,44 +169,6 @@ class SurdSum(_Ordered):
 
     def __rsub__(self, other):
         return SurdSum.from_value(other) - self
-
-    def __mul__(self, other):
-        o = SurdSum.from_value(other)
-        pairs = []
-        for d1, c1 in self._terms.items():
-            for d2, c2 in o._terms.items():
-                pairs.append((d1 * d2, c1 * c2))
-        return SurdSum(_merge_terms(pairs))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = SurdSum.from_value(other)
-        if o.sign() == 0:
-            raise ZeroDivisionError("division by zero SurdSum")
-        num, den = self, o
-        # repeated conjugation strips one radical from the denominator per pass
-        while not den.is_rational():
-            d = max(k for k in den._terms if k != 1)
-            conj = SurdSum({k: (c if k != d else -c) for k, c in den._terms.items()})
-            num, den = num * conj, den * conj
-        inv = 1 / den.as_fraction()
-        return num * inv
-
-    def __rtruediv__(self, other):
-        return SurdSum.from_value(other) / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = SurdSum({1: 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def _bounds(self, bits):
         lo = hi = Fraction(0)
@@ -325,6 +278,9 @@ class QuadSurd(_Ordered):
 
     Canonical form: gcd(p, q, r) = 1, r > 0, small square factors of d pulled
     into q, and q = 0 implies d = 0.  Total order is decidable exactly.
+    * and / stay in the field Q(sqrt(d)): they take a QuadSurd of the same
+    radicand (a rational one lies in every field), an int or a Fraction, and
+    raise TypeError across radicands; + and - across radicands give a SurdSum.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -355,9 +311,6 @@ class QuadSurd(_Ordered):
         f = Fraction(x)
         return cls(f.numerator, 0, f.denominator, 0)
 
-    def is_rational(self):
-        return self.q == 0
-
     def as_fraction(self):
         if self.q:
             raise ValueError("not rational: %s" % self)
@@ -369,9 +322,8 @@ class QuadSurd(_Ordered):
                         (self.d or 1, Fraction(self.q, self.r))))
 
     def _same_field(self, other):
-        if isinstance(other, QuadSurd):
-            return other.q == 0 or self.q == 0 or other.d == self.d
-        return isinstance(other, (int, Fraction))
+        """Whether the QuadSurd other lies in this value's field."""
+        return other.q == 0 or self.q == 0 or other.d == self.d
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -415,33 +367,28 @@ class QuadSurd(_Ordered):
             p = self.p * other.p + self.q * other.q * d
             q = self.p * other.q + self.q * other.p
             return QuadSurd(p, q, self.r * other.r, d)
-        if isinstance(other, (QuadSurd, SurdSum)):
-            return self.to_sum() * SurdSum.from_value(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError
-            return QuadSurd(self.p * f.denominator, self.q * f.denominator,
-                            self.r * f.numerator, self.d)
-        if isinstance(other, QuadSurd) and self._same_field(other):
-            d = self.d or other.d
-            # multiply by the conjugate of the other value
-            den = other.p * other.p - other.q * other.q * d
-            if den == 0:
-                raise ZeroDivisionError
-            p = (self.p * other.p - self.q * other.q * d) * other.r
-            q = (self.q * other.p - self.p * other.q) * other.r
-            return QuadSurd(p, q, self.r * den, d)
-        return self.to_sum() / SurdSum.from_value(other)
+            other = QuadSurd.from_fraction(other)
+        if not (isinstance(other, QuadSurd) and self._same_field(other)):
+            return NotImplemented
+        d = self.d or other.d
+        # multiply by the conjugate of the other value
+        den = other.p * other.p - other.q * other.q * d
+        if den == 0:
+            raise ZeroDivisionError("division by zero QuadSurd")
+        p = (self.p * other.p - self.q * other.q * d) * other.r
+        q = (self.q * other.p - self.p * other.q) * other.r
+        return QuadSurd(p, q, self.r * den, d)
 
     def __rtruediv__(self, other):
-        return QuadSurd.from_fraction(other) / self if isinstance(other, (int, Fraction)) \
-            else SurdSum.from_value(other) / self.to_sum()
+        if isinstance(other, (int, Fraction)):
+            return QuadSurd.from_fraction(other) / self
+        return NotImplemented
 
     def sign(self):
         if self.q == 0:

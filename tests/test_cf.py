@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from cfspectra.cf import (TAIL_MAX, TAIL_MIN, cylinder, cylinder_length, eval_cf
                           lambda_between, periodic_fixpoint, r_exponent, tail_image)
 from cfspectra.dimension import _tail_extremes
 from cfspectra.errors import DomainError
-from cfspectra.surd import QuadSurd, SurdSum
+from cfspectra.surd import QuadSurd
 from cfspectra.words import Word
 
 
@@ -105,7 +106,7 @@ def test_floor_exp_matches_a_wide_floor():
     lambda: periodic_fixpoint("13"),
     lambda: r_exponent("x"),
     lambda: tail_image("3", TAIL_MAX),
-    lambda: extremal_tail("3", "max"),
+    lambda: extremal_tail("3"),
     lambda: lambda_between("131", 1, TAIL_MIN, TAIL_MAX),
     lambda: lambda_between("3", 0, TAIL_MIN, TAIL_MAX),
 ], ids=["eval_cf", "cylinder", "cylinder_length", "periodic_fixpoint", "r_exponent",
@@ -130,16 +131,17 @@ def test_run_interval_closed_forms():
     # 1/|I(1^n)| follows the golden-ratio closed form exactly at index n;
     # the corresponding 2-run form is index-shifted: its value at n equals
     # 1/|I(2^(n-1))| (it gives 1 at n = 1 while 1/|I(2)| = 6).
-    half = Fraction(1, 2)
+    def power(x, k):
+        return math.prod([x] * k, start=QuadSurd(1))
+
+    phi, psi = QuadSurd(3, 1, 2, 5), QuadSurd(3, -1, 2, 5)  # (3 +- sqrt5)/2
     for n in range(1, 13):
-        inv1 = SurdSum({1: Fraction(-1, 5) * (-1) ** (n + 1)}) \
-            + (SurdSum({5: Fraction(1, 10), 1: Fraction(1, 10)})
-               * (SurdSum({1: Fraction(3, 2), 5: half}) ** (n + 1))) \
-            - (SurdSum({5: Fraction(1, 10), 1: Fraction(-1, 10)})
-               * (SurdSum({1: Fraction(3, 2), 5: -half}) ** (n + 1)))
+        inv1 = Fraction(-1, 5) * (-1) ** (n + 1) \
+            + QuadSurd(1, 1, 10, 5) * power(phi, n + 1) \
+            - QuadSurd(-1, 1, 10, 5) * power(psi, n + 1)
         assert inv1 == 1 / cylinder_length("1" * n)
-        inv2 = (SurdSum({1: 3, 2: 2}) ** n - SurdSum({1: 3, 2: -2}) ** n) \
-            / SurdSum({2: 4})
+        inv2 = (power(QuadSurd(3, 2, 1, 2), n) - power(QuadSurd(3, -2, 1, 2), n)) \
+            / QuadSurd(0, 4, 1, 2)
         if n == 1:
             assert inv2 == 1
         else:
@@ -166,10 +168,11 @@ def test_periodic_values():
 
 def test_extremal_tail_examples():
     # [0;(12)^inf] and [0;(21)^inf], the alternating periodic tails
-    assert extremal_tail("", "max") == QuadSurd(-1, 1, 1, 3) == periodic_fixpoint("12")
-    assert extremal_tail("", "min") == QuadSurd(-1, 1, 2, 3) == periodic_fixpoint("21")
+    lo, hi = extremal_tail("")
+    assert hi == QuadSurd(-1, 1, 1, 3) == periodic_fixpoint("12")
+    assert lo == QuadSurd(-1, 1, 2, 3) == periodic_fixpoint("21")
     # one-step reciprocal monotonicity
-    v2 = extremal_tail("2", "max")
+    _, v2 = extremal_tail("2")
     assert v2 == 1 / (QuadSurd(-1, 1, 2, 3) + 2)
 
 
@@ -177,8 +180,7 @@ def test_extremal_tail_dominates_random_continuations():
     rng = random.Random(6)
     for _ in range(25):
         prefix = random_word(rng, rng.randrange(0, 10))
-        hi = extremal_tail(prefix, "max")
-        lo = extremal_tail(prefix, "min")
+        lo, hi = extremal_tail(prefix)
         for _ in range(8):
             cont = random_word(rng, 200)
             v = brute_cf(prefix + cont)
@@ -191,8 +193,7 @@ def test_extremal_tail_dominates_random_continuations():
         blocks = [random_word(rng, m) for _ in range(rng.randrange(1, 4))]
         sup, inf = _tail_extremes(blocks)
         prefix = random_word(rng, rng.randrange(0, 10))
-        hi = extremal_image(prefix, sup, inf, "max")
-        lo = extremal_image(prefix, sup, inf, "min")
+        lo, hi = extremal_image(prefix, sup, inf)
         for _ in range(8):
             head = "".join(rng.choice(blocks) for _ in range(rng.randrange(0, 6)))
             period = "".join(rng.choice(blocks) for _ in range(rng.randrange(1, 4)))

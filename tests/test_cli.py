@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -77,13 +78,39 @@ def test_unknown_common_flags_are_usage_errors(flag):
     assert cli.main([*flag, "sigma", "--t", "3", "--n", "4"]) == 3
 
 
+def _subcommand_options():
+    """{subcommand: its long options} from the parser."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in q._actions for o in a.option_strings if o.startswith("--")}
+            for name, q in sub.choices.items()}
+
+
 def test_common_flags():
     opts = {o for a in cli.build_parser()._actions for o in a.option_strings
             if o.startswith("--")}
-    assert opts == {"--help", "--format", "--enum-budget", "--timing", "--verify"}
-    assert cli.main(["--enum-budget", "0", "sigma", "--t", "3", "--n", "4"]) == 1
-    # checked before dispatch, also where the budget is never read
-    assert cli.main(["--enum-budget", "-1", "interval", "--word", "2211"]) == 1
+    assert opts == {"--help", "--format", "--timing"}
+    for name, sub_opts in _subcommand_options().items():
+        assert {"--format", "--timing"} <= sub_opts, name
+    assert cli.main(["interval", "--word", "2211", "--timing", "-f", "json"]) == 0
+    assert cli.main(["--timing", "-f", "json", "interval", "--word", "2211"]) == 0
+
+
+def test_flags_live_on_the_subcommands_that_read_them():
+    where = {name: {o for o in opts if o in ("--enum-budget", "--verify")}
+             for name, opts in _subcommand_options().items()}
+    assert {name: got for name, got in where.items() if got} == {
+        "eval": {"--verify"}, "sigma": {"--enum-budget", "--verify"},
+        "pushcut": {"--verify"}}
+    # checked where sigma reads it
+    assert cli.main(["sigma", "--t", "3", "--n", "4", "--enum-budget", "0"]) == 1
+    assert cli.main(["sigma", "--t", "3", "--n", "4", "--enum-budget", "-1"]) == 1
+    # a flag before the subcommand, or on one that would ignore it, is a usage error
+    assert cli.main(["--enum-budget", "0", "sigma", "--t", "3", "--n", "4"]) == 3
+    assert cli.main(["--verify", "sigma", "--t", "3", "--n", "4"]) == 3
+    assert cli.main(["interval", "--word", "2211", "--enum-budget", "-1"]) == 3
+    assert cli.main(["cuts", "--cut", "2211|2211", "--verify"]) == 3
+    assert cli.main(["dim", "--blocks", "1,2", "--level", "4", "--verify"]) == 3
 
 
 @pytest.mark.parametrize("argv", [("asym", "--rho", "0^-1"), ("asym", "--rho", "1/0"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfspectra import cuts
+from cfspectra import cf, cuts
 from cfspectra.alphabets import ROOT, alphabet_from_pair
 from cfspectra.biseq import BiSeq, lambda_at, markov_value
 from cfspectra.cf import extremal_tail
@@ -75,6 +75,22 @@ def test_position_bounds_refuses_a_digit_other_than_1_or_2():
     for word, i in (("131", 1), ("131", 0), ("3", 0)):
         with pytest.raises(DomainError, match="digits must be 1 or 2"):
             position_bounds(word, i)
+
+
+def test_position_bounds_forms_each_prefix_matrix_once(monkeypatch):
+    """One G(prefix) per side gives both extremes of that side's tail."""
+    calls = []
+
+    def counted(w):
+        calls.append(str(w))
+        return matrix(w)
+
+    matrix = cf.cf_matrix
+    monkeypatch.setattr(cf, "cf_matrix", counted)
+    lo, hi = position_bounds("2211222211", 4)
+    assert sorted(calls) == ["1122", "22211"]
+    monkeypatch.undo()
+    assert (lo, hi) == position_bounds("2211222211", 4)
 
 
 def test_mixed_cut_anchors():
@@ -243,8 +259,8 @@ def _cut_sup_reference(omega, x):
     """The former cuts._cut_sup: 3 + max [0; 11 omega x ...] - min [0; 11 omega y ...],
     through the identity [0; 2, Y] = 1 - [0; 1, 1, Y]."""
     y = "1" if x == "2" else "2"
-    hi = extremal_tail("11" + omega + x, "max")
-    lo = extremal_tail("11" + omega + y, "min")
+    _, hi = extremal_tail("11" + omega + x)
+    lo, _ = extremal_tail("11" + omega + y)
     return SurdSum.from_value(hi + 3 - lo)
 
 

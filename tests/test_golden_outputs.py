@@ -4,8 +4,9 @@ fixed set of commands.
 `cli.main` runs in-process with stdout redirected, so the whole set takes
 about two seconds.  The digests pin every output byte of commands that cover
 each subcommand family (sigma in all three formats, eval of a Markov value
-and of a lambda value, cuts, one pushcut per template kind and one template
-mismatch, connect, dim, renorm, interval, farey, alphabets, bound, asym).
+and of a lambda value, cuts on a good, a bad and two mixed cuts, one pushcut
+per template kind and one template mismatch, --verify on each subcommand that
+reads it, connect, dim, renorm, interval, farey, alphabets, bound, asym).
 A change that is meant to alter output updates the digest here and records
 the output change in CHANGES.md; any other digest change is a regression.
 """
@@ -42,6 +43,17 @@ GOLDEN = [
      0, "736d92fc3fb348fe47ba76ac2e658336d79c0784a6e340915003adf9d6d88fd1"),
     (("cuts", "--cut", "2|2111111"),
      0, "a4d48acaafe3f613eef350246f528540740bbf5d47b7ef0e62dedb979174d86e"),
+    (("cuts", "--cut", "2222|1111"),
+     0, "ba6d275b416ff3019182fd50aae8198ecb40aeff73045116934d0fb37d1080ea"),
+    (("cuts", "--cut", "22|11"),
+     0, "94fc4573023f84a5ca924489fb49e79cd74ec95eb5a91c13bf08ca1d450a6d72"),
+    (("eval", "--seq", "per(2211)", "--verify"),
+     0, "9e0a7dc3fda9186d3157bd66ae2c0145508fb0ae7e1a70ec597e720e7944e4a8"),
+    (("sigma", "--t", "3+6^-6", "--n", "8", "--verify"),
+     0, "833c0880a2ff53e24015d908b6ac06b01ad0291a36c7a06b58e01787f4a1ab70"),
+    (("pushcut", "--w", "UV", "--cut", "2211|2211", "--kind", "good-symmetric",
+      "--verify"),
+     0, "91de276e117a0f355eeaeaba58c713f224f14b3da62fdc940ec3f229d06f0865"),
     (("pushcut", "--w", "UV", "--cut", "2211|2211", "--kind", "good-symmetric"),
      0, "853170caf9627d000c2a96f53872673ecf34df9a9387091340a7ff57e6734f78"),
     (("pushcut", "--w", "UV", "--cut", "22111122|11222211",

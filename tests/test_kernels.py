@@ -703,7 +703,7 @@ def test_periodic_markov_matches_general_path(p):
     assert (value, attained, at) == (SurdSum({D: Fraction(1, c)}), True, idx)
     # a transient copy of the period sends the same sequence down the general path
     general, _, _ = markov_value(BiSeq.make(p, "", p, p))
-    assert general * c == SurdSum({D: 1})  # sqrt(D)/c, exactly
+    assert general == SurdSum({D: Fraction(1, c)})  # sqrt(D)/c, exactly
     assert lang.period_markov(p) == (D, c)
     seq = BiSeq.periodic(p)
     assert lambda_at(seq, idx) == value
