@@ -8,8 +8,10 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath
+from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_exp, mpf_gt, mpf_log,
+                          mpf_lt, mpf_mul, round_ceiling, round_floor)
 
-from .cf import cylinder_length, extremal_image, iv_prec, periodic_fixpoint
+from .cf import cylinder_length, extremal_image, periodic_fixpoint
 from .errors import DomainError, EmptyLanguage
 from .surd import SurdSum, refine
 
@@ -32,9 +34,10 @@ class DimBracket:
         return self.lower <= x <= self.upper
 
 
-def _iv_log(num, den):
-    """Interval enclosure of log(num/den) at the current interval precision."""
-    return mpmath.iv.log(mpmath.iv.mpf(num) / mpmath.iv.mpf(den))
+def _log_bounds(num, den, prec):
+    """Floor and ceiling at prec bits of log(num/den)."""
+    return (mpf_log(from_rational(num, den, prec, round_floor), prec, round_floor),
+            mpf_log(from_rational(num, den, prec, round_ceiling), prec, round_ceiling))
 
 
 class _MoranSums:
@@ -43,13 +46,14 @@ class _MoranSums:
     are nonincreasing in s.
 
     Each length's logarithm is taken once: as a float for the guide, and as
-    an interval per precision for the certified signs, shared by both roots.
+    a floor and ceiling per precision for the certified signs, shared by
+    both roots.
     """
 
     def __init__(self, lengths):
         self.lengths = lengths
         self.logs = [math.log(num) - math.log(den) for num, den in lengths]
-        self._iv_logs = {}
+        self._logs_at = {}
 
     def guide(self, s, adjust):
         """Float guess of whether the map exceeds 1 at s (log-sum-exp);
@@ -61,22 +65,37 @@ class _MoranSums:
             sum(math.exp(x - top) for x in terms)) > 0
 
     def sign(self, s, adjust):
-        """Certified sign of the map minus 1 at rational s, by interval
-        refinement."""
+        """Certified sign of the map minus 1 at rational s in (0, 1], by
+        refinement of an outward enclosure.
+
+        Every operation rounds the lower end of the enclosure down and the
+        upper end up at an explicit precision: the calls mpmath's interval
+        context makes for exp, log, products and sums, without its wrapping.
+        Every length's log is negative, so s's upper end gives the lower end
+        of each term and s's lower end its upper end; the factor's log,
+        adjust * log(2), pairs the ends the same way when adjust < 0.
+        """
         def decide(bits):
-            with iv_prec(bits):
-                if bits not in self._iv_logs:
-                    self._iv_logs[bits] = [_iv_log(n, d) for n, d in self.lengths]
-                s_iv = mpmath.iv.mpf(s.numerator) / mpmath.iv.mpf(s.denominator)
-                acc = mpmath.iv.mpf(0)
-                for lg in self._iv_logs[bits]:
-                    acc += mpmath.iv.exp(s_iv * lg)
-                total = mpmath.iv.exp(s_iv * _iv_log(2 ** max(adjust, 0),
-                                                     2 ** max(-adjust, 0))) * acc
-                if total.a > 1:
-                    return 1
-                if total.b < 1:
-                    return -1
+            if bits not in self._logs_at:
+                self._logs_at[bits] = [_log_bounds(n, d, bits) for n, d in self.lengths]
+            s_lo = from_rational(s.numerator, s.denominator, bits, round_floor)
+            s_hi = from_rational(s.numerator, s.denominator, bits, round_ceiling)
+            lo = hi = fzero
+            for lg_lo, lg_hi in self._logs_at[bits]:
+                lo = mpf_add(lo, mpf_exp(mpf_mul(s_hi, lg_lo, bits, round_floor),
+                                         bits, round_floor), bits, round_floor)
+                hi = mpf_add(hi, mpf_exp(mpf_mul(s_lo, lg_hi, bits, round_ceiling),
+                                         bits, round_ceiling), bits, round_ceiling)
+            f_lo, f_hi = _log_bounds(2 ** max(adjust, 0), 2 ** max(-adjust, 0), bits)
+            a, b = (s_lo, s_hi) if adjust > 0 else (s_hi, s_lo)
+            lo = mpf_mul(mpf_exp(mpf_mul(a, f_lo, bits, round_floor), bits, round_floor),
+                         lo, bits, round_floor)
+            hi = mpf_mul(mpf_exp(mpf_mul(b, f_hi, bits, round_ceiling), bits, round_ceiling),
+                         hi, bits, round_ceiling)
+            if mpf_gt(lo, fone):
+                return 1
+            if mpf_lt(hi, fone):
+                return -1
             return None
 
         return refine(decide, 64)
@@ -103,20 +122,25 @@ def _root(sums, adjust):
     whose upper condition is identically one) and is capped at 1 otherwise.
 
     The float guide runs the bisection and only its final lo and hi are
-    certified (lo = 0 and hi = 1 need no check: the guide never moved them,
-    and s = 1 is certified first); see moran_bracket for why that suffices.
-    If either endpoint fails, the bisection reruns on certified signs alone.
+    certified (lo = 0 needs no check: the guide never moved it); see
+    moran_bracket for why that suffices.  The cap s = 1 is certified only
+    when the guide ends at hi = 1, since the map is nonincreasing and a
+    certified sign < 0 at any hi < 1 already puts it below 1 at s = 1.  If
+    either endpoint fails, the bisection reruns on certified signs alone,
+    after the check of s = 1.
     """
     if len(sums.lengths) == 1:
         num, den = sums.lengths[0]
         if adjust > 0 and 2 * num == den:
             return 1.0
         return 0.0
-    if sums.sign(Fraction(1), adjust) > 0:
-        return 1.0
     lo, hi = _bisect(lambda s: sums.guide(s, adjust))
+    if hi == 1 and sums.sign(hi, adjust) > 0:
+        return 1.0
     if not ((lo == 0 or sums.sign(lo, adjust) > 0)
             and (hi == 1 or sums.sign(hi, adjust) < 0)):
+        if sums.sign(Fraction(1), adjust) > 0:
+            return 1.0
         lo, hi = _bisect(lambda s: sums.sign(s, adjust) > 0)
     return float((lo + hi) / 2)
 
@@ -179,13 +203,14 @@ def moran_bracket(words, level=None):
 
     Each root is a dyadic bisection of [0, 1] to width MORAN_TOL whose
     midpoints are decided by a float log-sum-exp guide; no float result is
-    trusted.  Only the final lo and hi are certified by interval sums, next
-    to the s = 1 check.  Both maps are nonincreasing in s, and every
-    midpoint the guide sent to lo is <= lo and every one it sent to hi is
-    >= hi.  So a certified sign > 0 at lo and < 0 at hi proves that the
-    bisection on certified signs takes the same path and returns the same
-    root: three certified sums per root instead of 21.  If the guide misled
-    it at either endpoint, that root is bisected again on certified signs.
+    trusted.  Only the final lo and hi are certified by interval sums.  Both
+    maps are nonincreasing in s, and every midpoint the guide sent to lo is
+    <= lo and every one it sent to hi is >= hi.  So a certified sign > 0 at
+    lo and < 0 at hi proves that the bisection on certified signs, which
+    checks the cap s = 1 first, takes the same path and returns the same
+    root: two certified sums per root instead of 21 (one, at s = 1, for a
+    root capped at 1).  If the guide misled it at either endpoint, that
+    root is bisected again on certified signs.
     """
     lengths, m = _cylinders(words, level)
     sums = _MoranSums(lengths)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfspectra import dimension, lang
@@ -773,6 +773,7 @@ PINNED_BRACKETS = [
     (["2211", "1212"], None, "0.11631341116333008", "0.15159087045288086"),
     (["1"], None, "0.0", "1.0"),
     (["2"], None, "0.0", "1e-06"),
+    (["1", "2"], None, "0.36862321035766604", "1.0"),  # 2**s * (2**-s + 6**-s) > 1
 ]
 
 
@@ -780,6 +781,33 @@ def test_brackets_pinned_to_certified_bisection():
     for blocks, level, lower, upper in PINNED_BRACKETS:
         b = dimension.moran_bracket(blocks, level=level)
         assert (repr(b.lower), repr(b.upper)) == (lower, upper), (blocks, level)
+
+
+def _counted_evaluations(monkeypatch):
+    """Record the precision of every interval evaluation in dimension."""
+    evaluations = []
+
+    def counted(decide, bits):
+        def each(b):
+            evaluations.append(b)
+            return decide(b)
+        return refine(each, bits)
+
+    monkeypatch.setattr(dimension, "refine", counted)
+    return evaluations
+
+
+def _counted_signs(monkeypatch):
+    """Record (s, adjust) of every certified sum."""
+    sums = []
+    sign = dimension._MoranSums.sign
+
+    def counted(self, s, adjust):
+        sums.append((s, adjust))
+        return sign(self, s, adjust)
+
+    monkeypatch.setattr(dimension._MoranSums, "sign", counted)
+    return sums
 
 
 def test_lying_guide_falls_back_to_certified_bisection(monkeypatch):
@@ -793,30 +821,66 @@ def test_lying_guide_falls_back_to_certified_bisection(monkeypatch):
         lies.append(s)
         return not honest
 
-    sums = []
-    sign = dimension._MoranSums.sign
-
-    def counted(self, s, adjust):
-        sums.append(s)
-        return sign(self, s, adjust)
-
     monkeypatch.setattr(dimension._MoranSums, "guide", lie_once)
-    monkeypatch.setattr(dimension._MoranSums, "sign", counted)
+    sums = _counted_signs(monkeypatch)
     b = dimension.moran_bracket(["1", "2"], level=8)
     assert lies == [Fraction(1, 2)]
     assert len(sums) > 6  # the misled root was bisected again on certified signs
     assert (repr(b.lower), repr(b.upper)) == ("0.5013575090637207", "0.5760798917541504")
 
 
-def test_moran_bracket_makes_at_most_six_certified_sums(monkeypatch):
-    evaluations = []
-
-    def counted(decide, bits):
-        def each(b):
-            evaluations.append(b)
-            return decide(b)
-        return refine(each, bits)
-
-    monkeypatch.setattr(dimension, "refine", counted)
+def test_moran_roots_make_at_most_two_certified_sums_each(monkeypatch):
+    evaluations = _counted_evaluations(monkeypatch)
     dimension.moran_bracket(["1", "2"], level=10)
-    assert 0 < len(evaluations) <= 6
+    assert 0 < len(evaluations) <= 4
+    evaluations.clear()
+    dimension.d_upper(lang.parse_threshold("3+6^-6"), 8)
+    assert 0 < len(evaluations) <= 2
+
+
+def test_capped_root_takes_one_certified_sum_at_one(monkeypatch):
+    sums = _counted_signs(monkeypatch)
+    lengths, _ = dimension._cylinders(["1", "2"], None)
+    assert dimension._upper(dimension._MoranSums(lengths)) == 1.0
+    assert sums == [(Fraction(1), 1)]
+
+
+def test_capped_root_survives_a_guide_that_ends_below_one(monkeypatch):
+    monkeypatch.setattr(dimension._MoranSums, "guide", lambda self, s, adjust: False)
+    sums = _counted_signs(monkeypatch)
+    lengths, _ = dimension._cylinders(["1", "2"], None)
+    assert dimension._upper(dimension._MoranSums(lengths)) == 1.0
+    # hi = 2**-20 fails its certificate, and the fallback certifies s = 1 first
+    assert sums == [(Fraction(1, 2 ** 20), 1), (Fraction(1), 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_block_sets, st.integers(1, 24), st.booleans(), st.sampled_from([-1, 1]))
+def test_moran_sign_matches_interval_context(blocks, depth, take_hi, adjust):
+    lengths, _ = dimension._cylinders(blocks, None)
+    assume(not (adjust > 0 and lengths == [(1, 2)]))  # the map is 1 at every s
+    sums = dimension._MoranSums(lengths)
+    # a dyadic s in (0, 1] from the guided bisection at the given depth, so
+    # that the sign is asked near the root, where an error would flip it
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(depth):
+        mid = (lo + hi) / 2
+        if sums.guide(mid, adjust):
+            lo = mid
+        else:
+            hi = mid
+    s = hi if take_hi or lo == 0 else lo
+    assert sums.sign(s, adjust) == _sum_sign_reference(lengths, s, adjust)
+
+
+def test_moran_sign_refines_past_64_bits_near_a_root(monkeypatch):
+    # the lower root of {1, 2}: 4**-s + 12**-s = 1; s lies within 2**-72 below it
+    with mpmath.workdps(60):
+        root = mpmath.findroot(lambda x: 4 ** -x + 12 ** -x - 1, 0.37)
+        s = Fraction(int(mpmath.floor(root * 2 ** 72)), 2 ** 72)
+        assert 0 < root - mpmath.mpf(s.numerator) / s.denominator < mpmath.mpf(2) ** -70
+    lengths, _ = dimension._cylinders(["1", "2"], None)
+    evaluations = _counted_evaluations(monkeypatch)
+    assert dimension._MoranSums(lengths).sign(s, -1) == 1
+    assert evaluations[0] == 64 and evaluations[-1] > 64
+    assert _sum_sign_reference(lengths, s, -1) == 1
