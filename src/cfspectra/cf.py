@@ -13,10 +13,10 @@ every extremum over a range of tails is extremal_image.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 
-import mpmath
+from mpmath.libmp import (from_int, from_rational, mpf_exp, mpf_log, round_ceiling, round_floor,
+                          to_int)
 
 from .errors import DomainError
 from .surd import QuadSurd, refine
@@ -96,40 +96,29 @@ def cylinder_length(w):
     return Fraction(1, g[3] * (g[2] + g[3]))
 
 
-@contextmanager
-def iv_prec(bits):
-    """Working precision of mpmath's interval context, which keeps its own
-    precision apart from mpmath.workprec."""
-    old = mpmath.iv.prec
-    mpmath.iv.prec = bits
-    try:
-        yield
-    finally:
-        mpmath.iv.prec = old
+def log_bounds(num, den, bits):
+    """Outward enclosure (lo, hi) of ln(num/den) at bits, for integers
+    num, den >= 1, as mpmath.libmp values: the library's one log enclosure,
+    read by floor_log and by dimension's Moran sums."""
+    return (mpf_log(from_rational(num, den, bits, round_floor), bits, round_floor),
+            mpf_log(from_rational(num, den, bits, round_ceiling), bits, round_ceiling))
 
 
-def _certified_floor(enclose, bits):
-    """floor(v) for an irrational v >= 0, from the interval that enclose()
-    computes in mpmath's interval context at bits, 2*bits, 4*bits, ...
-
-    Both ends are read with the exact int() of an interval endpoint, which
-    truncates toward zero, never through a float or mpmath.floor, which
-    rounds at mpmath's working precision.  Equal truncations of both ends
-    equal floor(v): ends >= 0 truncate to their floors, and an end in
-    (-1, 0) truncates to 0 only together with an upper end below 1, where
-    floor(v) = 0.  v is irrational, so the ends separate from every integer.
-    """
-    def decide(bits):
-        with iv_prec(bits):
-            iv = enclose()
-            lo, hi = int(iv.a), int(iv.b)
+def _certified_floor(bounds, bits):
+    """floor(v) for an irrational v >= 0 from bounds(b), an outward pair of
+    mpmath.libmp values at b = bits, 2*bits, ...: both ends are floored
+    exactly by to_int(., round_floor), never through a float, and equal
+    floors are floor(v).  v is irrational, so the ends separate from every
+    integer."""
+    def decide(b):
+        lo, hi = (to_int(x, round_floor) for x in bounds(b))
         return lo if lo == hi else None
 
     return refine(decide, bits)
 
 
 def floor_log(x):
-    """floor(ln x) for a rational x >= 1, certified by interval arithmetic.
+    """floor(ln x) for a rational x >= 1, certified by directed rounding.
 
     ln x is irrational for rational x != 1, so the floor is always decidable.
     """
@@ -138,12 +127,11 @@ def floor_log(x):
         raise DomainError("floor_log needs x >= 1")
     if x == 1:
         return 0
-    return _certified_floor(
-        lambda: mpmath.iv.log(mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)), 64)
+    return _certified_floor(lambda b: log_bounds(x.numerator, x.denominator, b), 64)
 
 
 def floor_exp(k):
-    """floor(e^k) for an integer k >= 0, certified by interval arithmetic.
+    """floor(e^k) for an integer k >= 0, certified by directed rounding.
 
     e^k is irrational for k >= 1, so the floor is always decidable.  It has
     about 1.44 k bits, so the search starts at 64 + 2k bits.
@@ -152,7 +140,8 @@ def floor_exp(k):
         raise DomainError("floor_exp needs k >= 0")
     if k == 0:
         return 1
-    return _certified_floor(lambda: mpmath.iv.exp(k), 64 + 2 * k)
+    return _certified_floor(lambda b: (mpf_exp(from_int(k), b, round_floor),
+                                       mpf_exp(from_int(k), b, round_ceiling)), 64 + 2 * k)
 
 
 def r_exponent(w):

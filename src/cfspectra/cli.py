@@ -24,7 +24,7 @@ from .alphabets import enumerate_alphabets, farey_words, theta
 from .biseq import BiSeq, lambda_at, markov_value
 from .cf import cylinder, r_exponent
 from .cuts import PUSH_TEMPLATES, Cut, classify_cut, push_cut
-from .dimension import d_asymptotic, moran_bracket, thm2_bound
+from .dimension import d_asymptotic_at, inverse_log, moran_bracket, thm2_bound_at
 from .lang import CONNECT_KINDS, connecting_sequence, sigma_enumerate
 from .renorm import find_alphabet
 from .words import Word
@@ -225,28 +225,32 @@ def cmd_dim(args):
     return 0, payload, lines
 
 
-def _parse_rho(text):
+def _parse_log_rho(text):
+    """L = |log rho| of a rho given as e^-x, B^-E or a fraction, without
+    forming rho as a float: x, E * ln B, or the logs of the fraction's
+    numerator and denominator."""
     s = text.strip().replace(" ", "")
     m = re.fullmatch(r"e\^-(\d+(?:\.\d+)?)", s)
     if m:
-        return math.exp(-float(m.group(1)))
+        return float(m[1])
     m = re.fullmatch(r"(\d+)\^-(\d+)", s)
+    if m and int(m[1]):  # 0^-E falls through to the parse error below
+        return int(m[2]) * math.log(int(m[1]))
     try:
-        return Fraction(1, int(m[1]) ** int(m[2])) if m else Fraction(s)
+        rho = Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise errors.DomainError("cannot parse rho %r" % text) from None
+    return inverse_log(rho)
 
 
 def cmd_asym(args):
-    rho = _parse_rho(args.rho)
-    v = d_asymptotic(float(rho))
+    v = d_asymptotic_at(_parse_log_rho(args.rho))
     payload = {"rho": args.rho, "d_asymptotic": v}
     return 0, payload, ["d_asymptotic(%s) = %.10g" % (args.rho, v)]
 
 
 def cmd_bound(args):
-    rho = _parse_rho(args.rho)
-    v = thm2_bound(float(rho), args.C)
+    v = thm2_bound_at(_parse_log_rho(args.rho), args.C)
     payload = {"rho": args.rho, "C": args.C, "bound": v}
     return 0, payload, ["difference-set dimension bound = %.10g" % v]
 

@@ -8,10 +8,10 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath
-from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_exp, mpf_gt, mpf_log,
-                          mpf_lt, mpf_mul, round_ceiling, round_floor)
+from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_exp, mpf_gt, mpf_lt, mpf_mul,
+                          round_ceiling, round_floor)
 
-from .cf import cylinder_length, extremal_image, periodic_fixpoint
+from .cf import cylinder_length, extremal_image, log_bounds, periodic_fixpoint
 from .errors import DomainError, EmptyLanguage
 from .surd import SurdSum, refine
 
@@ -32,12 +32,6 @@ class DimBracket:
 
     def __contains__(self, x):
         return self.lower <= x <= self.upper
-
-
-def _log_bounds(num, den, prec):
-    """Floor and ceiling at prec bits of log(num/den)."""
-    return (mpf_log(from_rational(num, den, prec, round_floor), prec, round_floor),
-            mpf_log(from_rational(num, den, prec, round_ceiling), prec, round_ceiling))
 
 
 class _MoranSums:
@@ -68,16 +62,17 @@ class _MoranSums:
         """Certified sign of the map minus 1 at rational s in (0, 1], by
         refinement of an outward enclosure.
 
-        Every operation rounds the lower end of the enclosure down and the
-        upper end up at an explicit precision: the calls mpmath's interval
-        context makes for exp, log, products and sums, without its wrapping.
-        Every length's log is negative, so s's upper end gives the lower end
+        Every operation rounds the lower end down and the upper end up at
+        an explicit precision through mpmath.libmp, with no global
+        precision: each log, of a length or of the factor 2**adjust, is
+        cf.log_bounds, and exp, products and sums round alike.  Every
+        length's log is negative, so s's upper end gives the lower end
         of each term and s's lower end its upper end; the factor's log,
         adjust * log(2), pairs the ends the same way when adjust < 0.
         """
         def decide(bits):
             if bits not in self._logs_at:
-                self._logs_at[bits] = [_log_bounds(n, d, bits) for n, d in self.lengths]
+                self._logs_at[bits] = [log_bounds(n, d, bits) for n, d in self.lengths]
             s_lo = from_rational(s.numerator, s.denominator, bits, round_floor)
             s_hi = from_rational(s.numerator, s.denominator, bits, round_ceiling)
             lo = hi = fzero
@@ -86,7 +81,7 @@ class _MoranSums:
                                          bits, round_floor), bits, round_floor)
                 hi = mpf_add(hi, mpf_exp(mpf_mul(s_lo, lg_hi, bits, round_ceiling),
                                          bits, round_ceiling), bits, round_ceiling)
-            f_lo, f_hi = _log_bounds(2 ** max(adjust, 0), 2 ** max(-adjust, 0), bits)
+            f_lo, f_hi = log_bounds(2 ** max(adjust, 0), 2 ** max(-adjust, 0), bits)
             a, b = (s_lo, s_hi) if adjust > 0 else (s_hi, s_lo)
             lo = mpf_mul(mpf_exp(mpf_mul(a, f_lo, bits, round_floor), bits, round_floor),
                          lo, bits, round_floor)
@@ -145,29 +140,31 @@ def _root(sums, adjust):
     return float((lo + hi) / 2)
 
 
-def _check_blocks(blocks):
-    """Raise DomainError unless every block is a nonempty word over {1, 2}."""
+def _block_set(blocks, caller):
+    """The sorted distinct blocks and their common length.  No block raises
+    EmptyLanguage; a block that is empty or not a word over {1, 2}, or
+    blocks of unequal length, raise DomainError."""
+    blocks = sorted({str(b) for b in blocks})
+    if not blocks:
+        raise EmptyLanguage("%s needs at least one word" % caller)
     for b in blocks:
         if not b or set(b) - {"1", "2"}:
             raise DomainError("blocks must be nonempty words over {1, 2}: %r" % b)
+    m = len(blocks[0])
+    if any(len(b) != m for b in blocks):
+        raise DomainError("blocks must be of equal length")
+    return blocks, m
 
 
 def _cylinders(words, level):
     """Exact cylinder lengths (num, den) of the distinct equal-length blocks,
     sorted, refined first to all concatenations of length level if it is
-    set; returns (lengths, block length).  A block that is empty or not a
-    word over {1, 2} raises DomainError.
+    set; returns (lengths, block length).
 
     A repeated block adds nothing to the limit set; kept, it can put a root
     exactly on a bisection midpoint (["1", "1"]: the lower map is 1 at
     s = 1/2), where no interval enclosure decides the sign."""
-    words = sorted({str(w) for w in words})
-    if not words:
-        raise EmptyLanguage("moran_bracket needs at least one word")
-    _check_blocks(words)
-    m = len(words[0])
-    if any(len(w) != m for w in words):
-        raise DomainError("all blocks must have the same length")
+    words, m = _block_set(words, "moran_bracket")
     if level is not None:
         if level < 1:
             raise DomainError("level must be >= 1")
@@ -263,13 +260,7 @@ def certify_blocks(blocks, t):
     orientation, that is, all blocks have the same parity; the equal-length
     check below guarantees it, and unequal lengths raise DomainError.
     """
-    blocks = sorted(str(b) for b in blocks)
-    if not blocks:
-        raise EmptyLanguage("certify_blocks needs at least one block")
-    _check_blocks(blocks)
-    m = len(blocks[0])
-    if any(len(b) != m for b in blocks):
-        raise DomainError("blocks must be of equal length")
+    blocks, m = _block_set(blocks, "certify_blocks")
     sup_f, inf_f = _tail_extremes(blocks)
     rev_blocks = [b[::-1] for b in blocks]
     sup_b, inf_b = _tail_extremes(rev_blocks)
@@ -300,22 +291,37 @@ def lambert_inv(y):
 C0 = -math.log(math.log((3 + math.sqrt(5)) / 2))
 
 
+def inverse_log(rho):
+    """L = log(1/rho) of a float, int or Fraction rho > 0, from the logs of
+    its numerator and denominator (a float is its own numerator), so that a
+    rational rho below the float range, such as 6^-500, keeps its L."""
+    num, den = (rho, 1) if isinstance(rho, float) else Fraction(rho).as_integer_ratio()
+    if num <= 0:
+        raise DomainError("rho must be positive: %s" % rho)
+    return math.log(den) - math.log(num)
+
+
 def d_asymptotic(rho):
-    """Main asymptotic term 2 * H^-1(e^c0 * |log rho|) / |log rho| of the
-    spectrum dimension at 3 + rho, c0 = -log log((3+sqrt5)/2)."""
-    rho = float(rho)
-    if not 0 < rho < 1:
+    """d_asymptotic_at(log(1/rho)) for a float, int or Fraction rho."""
+    return d_asymptotic_at(inverse_log(rho))
+
+
+def d_asymptotic_at(L):
+    """Main asymptotic term 2 * H^-1(e^c0 * L) / L of the spectrum dimension
+    at 3 + rho, L = |log rho|, c0 = -log log((3+sqrt5)/2): a function of L
+    alone, so a rho below the float range is given by its L."""
+    if not L > 0:
         raise DomainError("d_asymptotic needs 0 < rho < 1")
-    L = abs(math.log(rho))
     return 2.0 * lambert_inv(math.exp(C0) * L) / L
 
 
 def thm2_bound(rho, C):
-    """(log|log rho| - log log|log rho| + C) / |log rho|."""
-    rho = float(rho)
-    if not 0 < rho < 1:
-        raise DomainError("thm2_bound needs 0 < rho < 1")
-    L = abs(math.log(rho))
-    if L <= math.e:
-        raise DomainError("need |log rho| > e")
+    """thm2_bound_at(log(1/rho), C) for a float, int or Fraction rho."""
+    return thm2_bound_at(inverse_log(rho), C)
+
+
+def thm2_bound_at(L, C):
+    """(log L - log log L + C) / L at L = |log rho|, for rho < e^-e."""
+    if not L > math.e:
+        raise DomainError("thm2_bound needs rho < e^-e, that is |log rho| > e")
     return (math.log(L) - math.log(math.log(L)) + C) / L

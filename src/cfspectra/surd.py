@@ -73,13 +73,14 @@ def _sqrt_bounds(d, bits):
 
 
 def _merge_terms(pairs):
-    """Canonicalize {radicand: coeff}: extract squares, merge commensurables."""
+    """Canonicalize {radicand: coeff}: extract squares, merge commensurables;
+    a term of radicand 0 is c*sqrt(0) = 0 and is dropped."""
     terms = {}
     anchors = []
     for d, c in pairs:
-        if not c:
+        if not c or not d:
             continue
-        if d in (0, 1):
+        if d == 1:
             terms[1] = terms.get(1, Fraction(0)) + c
             continue
         s, core = extract_square(d)
@@ -317,9 +318,8 @@ class QuadSurd(_Ordered):
         return Fraction(self.p, self.r)
 
     def to_sum(self):
-        # pairs, not a dict: for a rational value both terms have radicand 1
-        return SurdSum(((1, Fraction(self.p, self.r)),
-                        (self.d or 1, Fraction(self.q, self.r))))
+        # a rational value has d = 0, whose term is dropped
+        return SurdSum({1: Fraction(self.p, self.r), self.d: Fraction(self.q, self.r)})
 
     def _same_field(self, other):
         """Whether the QuadSurd other lies in this value's field."""

@@ -212,6 +212,18 @@ def test_dim_and_asym():
     assert code == 0 and "0.030779" in out
 
 
+@pytest.mark.parametrize("rho, asym, bound", [
+    ("e^-1000", "0.01056358128", "0.004975110545"),
+    ("6^-500", "0.01158520305", "0.005448506146"),
+])
+def test_asym_and_bound_take_rho_below_the_float_range(rho, asym, bound, capsys):
+    # e^-1000 and 6^-500 underflow a float; both values read L = |log rho| alone
+    assert cli.main(["asym", "--rho", rho]) == 0
+    assert capsys.readouterr().out == "d_asymptotic(%s) = %s\n" % (rho, asym)
+    assert cli.main(["bound", "--rho", rho, "--C", "0"]) == 0
+    assert capsys.readouterr().out == "difference-set dimension bound = %s\n" % bound
+
+
 @pytest.mark.parametrize("blocks", ["1,3", "1,x"])
 def test_dim_rejects_blocks_that_are_not_digit_words(blocks, capsys):
     assert cli.main(["dim", "--blocks", blocks, "--level", "4"]) == 1

@@ -143,6 +143,20 @@ def test_thm2_bound():
         thm2_bound(0.9, 0.0)  # |log rho| < e
 
 
+def test_asymptotics_take_rho_below_the_float_range():
+    # 6^-500 underflows a float; both values are functions of L = 500 ln 6
+    rho = Fraction(1, 6 ** 500)
+    L = 500 * math.log(6)
+    assert abs(d_asymptotic(rho) - 2 * lambert_inv(math.exp(C0) * L) / L) < 1e-15
+    assert abs(thm2_bound(rho, 1.0) - (math.log(L) - math.log(math.log(L)) + 1) / L) < 1e-15
+    assert d_asymptotic(rho) < d_asymptotic(Fraction(1, 6 ** 18))
+    for bad in (0, -1, Fraction(-1, 2), 1, Fraction(3, 2)):
+        with pytest.raises(DomainError):
+            d_asymptotic(bad)
+        with pytest.raises(DomainError):
+            thm2_bound(bad, 0.0)
+
+
 def test_d_upper_cap_and_small_grid():
     assert d_upper(parse_threshold("sqrt(12)"), 8) == 1.0
     a = d_upper(parse_threshold("3+6^-6"), 8)

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package reads each name it imports,
-every name a module defines at top level is read somewhere, and no two
-classes of one module define a method with the same body.
+every name a module defines at top level is read somewhere, no two classes
+of one module define a method with the same body, and no module reads
+mpmath's global contexts or sets a precision.
 
 The package's `__init__` is skipped by the import check: its imports are the
 public names it re-exports.  `from __future__` imports bind no name.
@@ -171,3 +172,39 @@ def test_the_check_sees_a_copied_method():
         "    def step(self):\n        return self.ys - 1\n"
         "    def other(self):\n        return len(self.ys)\n")
     assert _copied_methods(tree) == [("__len__", ("A", "B")), ("grow", ("A", "B"))]
+
+
+def _global_precision_uses(tree):
+    """(line, what) of each read of mpmath's interval context or its global
+    mp context (mpmath.iv, mpmath.mp, or either imported from mpmath), and
+    each assignment to a prec or dps attribute.  Certified bounds carry
+    their precision as an argument of mpmath.libmp's directed-rounding
+    functions, so none of these is needed."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("iv", "mp")
+                and isinstance(node.value, ast.Name) and node.value.id == "mpmath"):
+            out.append((node.lineno, "mpmath." + node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            out += [(node.lineno, "mpmath." + alias.name) for alias in node.names
+                    if alias.name in ("iv", "mp")]
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(node.lineno, "." + t.attr + " =") for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute) and t.attr in ("prec", "dps")]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_sets_no_global_precision(path):
+    assert _global_precision_uses(ast.parse(path.read_text())) == []
+
+
+def test_the_check_sees_a_global_precision():
+    tree = ast.parse("import mpmath\nfrom mpmath import iv, mpf\n"
+                     "x = mpmath.iv.log(2)\nmpmath.mp.dps = 50\nctx.prec += 10\n"
+                     "from mpmath.libmp import mpf_log\ny = mpf_log(z, 64, 'f')\n"
+                     "bits = ctx.prec\n")
+    assert _global_precision_uses(tree) == [(2, "mpmath.iv"), (3, "mpmath.iv"),
+                                            (4, ".dps ="), (4, "mpmath.mp"), (5, ".prec =")]

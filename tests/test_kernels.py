@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from cfspectra import dimension, lang
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
-from cfspectra.cf import IDENTITY, floor_exp, floor_log, iv_prec, mat_mul, r_exponent
+from cfspectra.cf import IDENTITY, floor_exp, floor_log, mat_mul, r_exponent
 from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum, refine
 from cfspectra.words import Word
@@ -708,6 +709,44 @@ def test_periodic_markov_matches_general_path(p):
     seq = BiSeq.periodic(p)
     assert lambda_at(seq, idx) == value
     assert all(lambda_at(seq, j) < value for j in range(idx))  # first phase wins ties
+
+
+@contextmanager
+def iv_prec(bits):
+    """Working precision of mpmath's interval context, which keeps its own
+    precision apart from mpmath.workprec.  Only the oracles below read it,
+    so the library's directed-rounding bounds are checked by code that did
+    not produce them."""
+    old = mpmath.iv.prec
+    mpmath.iv.prec = bits
+    try:
+        yield
+    finally:
+        mpmath.iv.prec = old
+
+
+def _floor_reference(enclose, bits):
+    """floor of a value v >= 0 that enclose() encloses in mpmath's interval
+    context, by the same doubling of the precision; the ends are truncated
+    by int(), exactly (mpmath.floor would round at mpmath's working
+    precision first), and equal truncations are floor(v)."""
+    def decide(bits):
+        with iv_prec(bits):
+            iv = enclose()
+            lo, hi = int(iv.a), int(iv.b)
+        return lo if lo == hi else None
+
+    return refine(decide, bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40), st.integers(1, 300))
+def test_floor_log_and_floor_exp_match_interval_context(a, b, k):
+    x = Fraction(max(a, b), min(a, b))
+    assume(x != 1)
+    assert floor_log(x) == _floor_reference(
+        lambda: mpmath.iv.log(mpmath.iv.mpf(x.numerator) / x.denominator), 64)
+    assert floor_exp(k) == _floor_reference(lambda: mpmath.iv.exp(k), 64 + 2 * k)
 
 
 def _interval_pow_reference(x_num, x_den, s):

@@ -218,10 +218,9 @@ def test_budget_bounds_the_pads():
 
 def test_decisions_make_no_interval_call(monkeypatch):
     """Once a Threshold is built, enumeration and membership decide by
-    integer comparisons alone: neither floor_log nor r_exponent, nor an
-    mpmath interval log or exp, is called."""
-    import mpmath
-
+    integer comparisons alone: neither floor_log nor r_exponent, nor the
+    log enclosure log_bounds, nor cf's directed-rounding log or exp, is
+    called."""
     from cfspectra import cf
 
     def clear_caches():
@@ -237,10 +236,10 @@ def test_decisions_make_no_interval_call(monkeypatch):
         raise AssertionError("interval call on the decision path")
 
     for mod in (cf, lang):
-        for name in ("floor_log", "floor_exp", "r_exponent"):
+        for name in ("floor_log", "floor_exp", "r_exponent", "log_bounds"):
             monkeypatch.setattr(mod, name, forbidden, raising=False)
-    monkeypatch.setattr(mpmath.iv, "log", forbidden)
-    monkeypatch.setattr(mpmath.iv, "exp", forbidden)
+    monkeypatch.setattr(cf, "mpf_log", forbidden)
+    monkeypatch.setattr(cf, "mpf_exp", forbidden)
     assert sigma_enumerate(th, 12).to_json_obj() == want
     for w in ("22221111", "2222111122", "121", "112222222112"):
         assert membership(w, th).verdict == ("in" if w == "112222222112" else "out")

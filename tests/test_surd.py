@@ -35,6 +35,13 @@ def test_equalities_across_representations():
     assert QuadSurd(0, 1, 1, 5) != QuadSurd(0, 1, 1, 2)
 
 
+def test_radicand_zero_is_zero():
+    # c * sqrt(0) = 0, as QuadSurd(3, 5, 1, 0) reads 3
+    assert SurdSum({0: 5}) == 0 and SurdSum({0: 5}).sign() == 0
+    assert str(SurdSum({0: 5})) == "0"
+    assert SurdSum({0: 5, 1: 2}) == QuadSurd(2) == QuadSurd(2, 5, 1, 0)
+
+
 def test_arithmetic_and_division():
     g = QuadSurd(-1, 1, 2, 5)       # (sqrt5 - 1)/2
     assert g * g + g == 1           # golden identity x^2 + x = 1
