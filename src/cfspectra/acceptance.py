@@ -23,7 +23,7 @@ from .dimension import (C0, d_asymptotic, d_upper, lambert_inv, moran_bracket,
                         thm2_bound)
 from .lang import (connecting_sequence, membership, parse_threshold,
                    sigma3_factors, sigma_enumerate)
-from .surd import QuadSurd, SurdSum
+from .surd import QuadSurd
 from .words import ABWord, UVWord, Word, apply_subst
 
 
@@ -59,7 +59,7 @@ def criterion_1():
                ("2211", QuadSurd(0, 1, 5, 221))]
     for period, expect in targets:
         val, attained, _ = markov_value(BiSeq.periodic(period))
-        if not attained or (val - expect.to_sum()).sign() != 0:
+        if not attained or val != expect:
             return False, "markov(per(%s)) != %s" % (period, expect)
     return True, "sqrt5, sqrt8, sqrt221/5 exact"
 
@@ -206,10 +206,10 @@ def criterion_7():
         size = cylinder_length(dw)
         low = Fraction(3) + size / 144
         high = Fraction(3) + size / 3
-        if not (SurdSum.from_value(low) < lam < SurdSum.from_value(high)):
+        if not low < lam < high:
             return False, "sandwich fails for w=%s (trial %d)" % (w, trial)
         floor = Fraction(3) + Fraction(1, 6 ** (len(dw) + 5))
-        if not lam > SurdSum.from_value(floor):
+        if not lam > floor:
             return False, "6^-(|w|+5) floor fails for w=%s" % w
     return True, "10^3 exact sandwiches"
 
@@ -340,7 +340,6 @@ def criterion_11():
     for n in range(3, 13):
         seq = connecting_sequence("ab", n)
         val, attained, _ = markov_value(seq)
-        val = SurdSum.from_value(val)
         if not val > Fraction(3):
             return False, "markov(connect(ab,%d)) <= 3" % n
         if prev is not None and (val - prev).sign() > 0:

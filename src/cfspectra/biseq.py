@@ -45,6 +45,12 @@ class BiSeq:
         p = Word(str(period))
         return cls(p, Word(""), Word(""), p)
 
+    def is_periodic(self):
+        """Whether the sequence is per(P) for one period P: no transient, and
+        one period on both sides."""
+        return (not self.left_transient and not self.right_transient
+                and self.left_period == self.right_period)
+
     def digit(self, i):
         tr, tl = self.right_transient.letters, self.left_transient.letters
         if i >= 0:
@@ -142,8 +148,7 @@ def markov_value(s):
     first one in the window), else the value is the periodic-end sup and
     index is None.
     """
-    if (not s.left_transient and not s.right_transient
-            and s.left_period.letters == s.right_period.letters):
+    if s.is_periodic():
         disc, c, i = _markov_periodic(s.right_period)
         return SurdSum({disc: Fraction(1, c)}), True, i
     lo = -(len(s.left_transient) + 2 * len(s.left_period) + 2)

@@ -11,9 +11,10 @@ import mpmath
 from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_exp, mpf_gt, mpf_lt, mpf_mul,
                           round_ceiling, round_floor)
 
+from . import lang
 from .cf import cylinder_length, extremal_image, log_bounds, periodic_fixpoint
 from .errors import DomainError, EmptyLanguage
-from .surd import SurdSum, refine
+from .surd import refine
 
 MORAN_TOL = Fraction(1, 10 ** 6)  # bisection width of each Moran root
 
@@ -222,9 +223,9 @@ def d_upper(t, m):
     """Certified upper bound for the spectrum dimension at threshold t:
     min(1, 2 * upper Moran root over the level-m language).  Unresolved words
     are included, which can only inflate the bound.  Only the upper root of
-    the bracket is computed."""
-    from .lang import sigma_enumerate
-    ls = sigma_enumerate(t, m)
+    the bracket is computed.  lang.sigma_enumerate is read at call time, so
+    a caller that substitutes it (to keep or trace the language) is seen."""
+    ls = lang.sigma_enumerate(t, m)
     words = sorted(ls.words) + sorted(ls.unresolved)
     if not words:
         return 0.0
@@ -258,8 +259,11 @@ def certify_blocks(blocks, t):
     t equal to the system's Markov value) certify.  Those extremes are the
     pair fixed points of _tail_extremes only when all block maps share one
     orientation, that is, all blocks have the same parity; the equal-length
-    check below guarantees it, and unequal lengths raise DomainError.
+    check below guarantees it, and unequal lengths raise DomainError.  A
+    text t is parsed once, on entry, by lang.parse_threshold.
     """
+    if isinstance(t, str):
+        t = lang.parse_threshold(t)
     blocks, m = _block_set(blocks, "certify_blocks")
     sup_f, inf_f = _tail_extremes(blocks)
     rev_blocks = [b[::-1] for b in blocks]
@@ -271,8 +275,8 @@ def certify_blocks(blocks, t):
             # reversed head of this block, then any reversed-block tail
             _, fwd = extremal_image(b0[p + 1:], sup_f, inf_f)
             _, bwd = extremal_image(b0[:p][::-1], sup_b, inf_b)
-            lam = SurdSum.from_value(fwd) + bwd + int(b0[p])
-            if (lam - t).sign() > 0:
+            lam = fwd + bwd + int(b0[p])
+            if lam > t:
                 return False
     return True
 

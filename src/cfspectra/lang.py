@@ -9,13 +9,12 @@ depth, and Unresolved is a first-class verdict.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .alphabets import ROOT, children, farey_words, theta_inverse
-from .biseq import BiSeq, _markov_periodic, markov_value
+from .alphabets import ROOT, children, farey_words
+from .biseq import BiSeq, _markov_periodic, lambda_at, markov_value
 from .cf import IDENTITY, cf_matrix, floor_exp, floor_log, mat_mul
 from .errors import DomainError
 from .surd import QuadSurd
@@ -138,7 +137,7 @@ def _threshold(x):
             raise DomainError("enumeration thresholds must be rational or sqrt(12)")
         # sqrt(12) - 3 > e^-1: only factors with r = 0, q < e, qualify
         return Threshold(value, 12, 1, True, 0, floor_exp(1))
-    f = value.as_fraction() if isinstance(value, QuadSurd) else Fraction(value)
+    f = Fraction(value.p, value.r) if isinstance(value, QuadSurd) else Fraction(value)
     num, den = f.numerator, f.denominator
     excess = f - 3
     # the block rule refutes above 3 + e^-r, so the cap is the largest r with
@@ -317,27 +316,18 @@ def factor_witness_map(n):
     """word -> (period, offset) for every length-n factor of the periodic
     family, with the shortest (then theta-least) period winning.
 
-    The family is grown by letter length q up to n//2 + 3: a window of n
-    digits covers at most n//2 + 1 two-digit letters, and two more lengths
-    are kept as a margin.
+    The family is the digit images of the Farey words of order n//2 + 3, read
+    by letter count (a stable sort keeps theta order within one count): a
+    window of n digits covers at most n//2 + 1 two-digit letters, and two
+    more counts are kept as a margin.
     """
     wmap = {}
-    for q in range(1, n // 2 + 4):
-        for period in _periods_with_letters(q):
-            for w, off in _windows(period, n):
-                if w not in wmap:
-                    wmap[w] = (period, off)
+    for word in sorted(farey_words(n // 2 + 3), key=len):
+        period = str(word.to_word())
+        for w, off in _windows(period, n):
+            if w not in wmap:
+                wmap[w] = (period, off)
     return wmap
-
-
-def _periods_with_letters(q):
-    if q == 1:
-        return ["22", "11"]
-    out = []
-    for p in range(1, q):
-        if math.gcd(p, q) == 1:
-            out.append(str(theta_inverse(Fraction(p, q)).to_word()))
-    return out
 
 
 # ------------------------------------------------------------- certificates
@@ -351,13 +341,20 @@ class MembershipCertificate:
     refutation_depth: int | None = None
 
     def verify(self):
-        """Re-check the certificate through the exact sequence machinery."""
+        """Re-check the certificate through the exact sequence machinery,
+        not the integer kernel that decided it: a periodic witness has
+        lambda <= t at each phase of one period, by lambda_at; any other
+        witness has its Markov value <= t, by markov_value."""
         if self.verdict != "in":
             return True
-        if self.witness.segment(0, len(self.word)) != str(self.word):
+        seq = self.witness
+        if seq.segment(0, len(self.word)) != str(self.word):
             return False
-        mv, _, _ = markov_value(self.witness)
-        return (mv - self.threshold).sign() <= 0  # any exact threshold
+        if seq.is_periodic():
+            return all(lambda_at(seq, i) <= self.threshold
+                       for i in range(len(seq.right_period)))
+        mv, _, _ = markov_value(seq)
+        return mv <= self.threshold  # any exact threshold
 
     def row(self):
         wit = ""
@@ -736,15 +733,13 @@ def sigma_enumerate(t, n, max_depth=28):
 
 def sigma3_factors(n):
     """Length-n factors of the periodic family: the independent combinatorial
-    generator for the t = 3 language."""
+    generator for the t = 3 language.  It reads no Markov value: every family
+    period has Markov value < 3, so each factor is "in" by its period."""
     if n < 1:
         raise DomainError("n must be >= 1")
     three = Threshold.of(Fraction(3))
-    words = {}
-    for w in factor_witness_map(n):
-        cert = _family_witness(w, three)
-        if cert is not None:
-            words[w] = cert
+    words = {w: _periodic_witness(period, off, w, three)
+             for w, (period, off) in factor_witness_map(n).items()}
     return LanguageSet(n, three.value, words, {})
 
 

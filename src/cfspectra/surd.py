@@ -59,9 +59,7 @@ def extract_square(d):
         while d % pp == 0:
             d //= pp
             s *= p
-    r = math.isqrt(d)
-    if r * r == d:
-        return s * r, 1
+    # a non-square d stays non-square once square factors are divided out
     return s, d
 
 
@@ -102,12 +100,16 @@ def _merge_terms(pairs):
 
 
 class _Ordered:
-    """==, <, <=, > and >= through the subclass's _cmp(other), the exact sign
-    of self - other.  Every comparison takes exactly the exact operands,
-    _EXACT, and declines the rest (a float or a str then raises TypeError
-    when ordered).  A subclass that defines no __hash__ is unhashable."""
+    """==, <, <=, > and >= through one comparison, _cmp(other): the exact
+    sign of self - other, read off the subclass's sign().  Every comparison
+    takes exactly the exact operands, _EXACT, and declines the rest (a float
+    or a str then raises TypeError when ordered).  A subclass that defines no
+    __hash__ is unhashable."""
 
     __slots__ = ()
+
+    def _cmp(self, other):
+        return (self - other).sign()
 
     def __eq__(self, other):
         return self._cmp(other) == 0 if isinstance(other, _EXACT) else NotImplemented
@@ -204,9 +206,6 @@ class SurdSum(_Ordered):
         if hi < 0:
             return -1
         return None
-
-    def _cmp(self, other):
-        return (self - other).sign()
 
     def __float__(self):
         """The float nearest the value: the enclosure is refined until both
@@ -312,11 +311,6 @@ class QuadSurd(_Ordered):
         f = Fraction(x)
         return cls(f.numerator, 0, f.denominator, 0)
 
-    def as_fraction(self):
-        if self.q:
-            raise ValueError("not rational: %s" % self)
-        return Fraction(self.p, self.r)
-
     def to_sum(self):
         # a rational value has d = 0, whose term is dropped
         return SurdSum({1: Fraction(self.p, self.r), self.d: Fraction(self.q, self.r)})
@@ -347,11 +341,8 @@ class QuadSurd(_Ordered):
         return QuadSurd(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QuadSurd)):
-            out = self + (-other if isinstance(other, QuadSurd) else -Fraction(other))
-            return out
-        if isinstance(other, SurdSum):
-            return self.to_sum() - other
+        if isinstance(other, _EXACT):
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -397,20 +388,11 @@ class QuadSurd(_Ordered):
             return (self.q > 0) - (self.q < 0)
         if (self.p > 0) == (self.q > 0):
             return 1 if self.p > 0 else -1
-        pp, qq = self.p * self.p, self.q * self.q * self.d
-        if pp == qq:
-            return 0
-        # the term with the larger square dominates
-        return ((self.p > 0) - (self.p < 0)) if pp > qq else ((self.q > 0) - (self.q < 0))
-
-    def _cmp(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return QuadSurd(self.p * f.denominator - f.numerator * self.r,
-                            self.q * f.denominator, self.r * f.denominator, self.d).sign()
-        if isinstance(other, QuadSurd) and self._same_field(other):
-            return (self - other).sign()
-        return (self.to_sum() - SurdSum.from_value(other)).sign()
+        # p and q differ in sign, and p^2 != q^2 d as canonical d is not a
+        # square: the term with the larger square dominates
+        if self.p * self.p > self.q * self.q * self.d:
+            return (self.p > 0) - (self.p < 0)
+        return (self.q > 0) - (self.q < 0)
 
     def __hash__(self):
         if self.q == 0:
@@ -427,24 +409,7 @@ class QuadSurd(_Ordered):
         return self.to_sum().decimal(digits)
 
     def __str__(self):
-        if self.q == 0:
-            return str(Fraction(self.p, self.r))
-        root = "√%d" % self.d
-        if self.q == -1:
-            qpart = "-" + root
-        elif self.q == 1:
-            qpart = root
-        else:
-            qpart = "%d%s" % (self.q, root)
-        if self.p == 0:
-            body = qpart
-            wrap = False
-        else:
-            body = "%d%s%s" % (self.p, "" if qpart.startswith("-") else "+", qpart)
-            wrap = True
-        if self.r == 1:
-            return body
-        return "(%s)/%d" % (body, self.r) if wrap else "%s/%d" % (body, self.r)
+        return str(self.to_sum())
 
     def __repr__(self):
         return "QuadSurd(p=%d, q=%d, r=%d, d=%d)" % (self.p, self.q, self.r, self.d)

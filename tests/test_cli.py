@@ -231,6 +231,12 @@ def test_dim_rejects_blocks_that_are_not_digit_words(blocks, capsys):
     assert out == "" and "nonempty words over {1, 2}" in err
 
 
+def test_dim_refuses_a_refinement_too_large(capsys):
+    assert cli.main(["dim", "--blocks", "1,2", "--level", "23"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "refinement too large" in err
+
+
 @pytest.mark.parametrize("flags", [(), ("--blocks", "1,2", "--words-file", "w.txt")])
 def test_dim_needs_exactly_one_block_source(flags):
     assert cli.main(["dim", "--level", "4", *flags]) == 3

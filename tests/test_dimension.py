@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from cfspectra import lang
 from cfspectra.cf import periodic_fixpoint, tail_image
 from cfspectra.dimension import (C0, _tail_extremes, certify_blocks, d_asymptotic,
                                  d_upper, lambert_inv, moran_bracket, thm2_bound)
@@ -79,6 +80,31 @@ def test_certify_blocks_examples():
     s8 = QuadSurd(0, 1, 1, 8)
     assert certify_blocks(["2"], s8)
     assert not certify_blocks(["2"], s8 - Fraction(1, 10 ** 9))
+
+
+def test_certify_blocks_parses_a_text_threshold():
+    blocks = ["2222", "2211"]
+    assert certify_blocks(blocks, "3+6^-3") == certify_blocks(blocks, parse_threshold("3+6^-3"))
+    assert certify_blocks(["2211"], "3") and not certify_blocks(["1122", "2211"], "3")
+
+
+def test_d_upper_reads_the_language_at_call_time(monkeypatch):
+    seen = []
+    real = lang.sigma_enumerate
+
+    def spy(t, m):
+        seen.append((t, m))
+        return real(t, m)
+
+    monkeypatch.setattr(lang, "sigma_enumerate", spy)
+    d_upper(Fraction(3), 6)
+    assert seen == [(Fraction(3), 6)]
+
+
+def test_refinement_too_large():
+    # 2^23 concatenations of level 23 pass the 2^22 cap
+    with pytest.raises(DomainError, match="refinement too large"):
+        moran_bracket(["1", "2"], level=23)
 
 
 def test_certified_blocks_give_lower_bounds():

@@ -1,12 +1,13 @@
 import json
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from cfspectra import lang
-from cfspectra.alphabets import alphabet_from_pair
+from cfspectra import biseq, lang
+from cfspectra.alphabets import alphabet_from_pair, theta_inverse
 from cfspectra.biseq import BiSeq, markov_value
 from cfspectra.dimension import d_upper
 from cfspectra.errors import DomainError
@@ -129,6 +130,76 @@ def test_certificate_verify_rejects_a_witness_without_the_word():
     forged = lang.MembershipCertificate(cert.word, cert.threshold, "in",
                                         BiSeq.periodic("22"))
     assert markov_value(forged.witness)[0] < 3 and not forged.verify()
+
+
+def test_verify_does_not_reuse_the_deciding_kernel(monkeypatch):
+    """A periodic witness is rechecked by lambda_at, not by the integer kernel
+    behind period_markov: with that kernel under-reporting D, membership
+    takes a wrong "in" for 2211 at 2.9 < sqrt(221)/5, and verify() refuses it."""
+    real = biseq._markov_periodic
+
+    def under_reported(period):
+        _, c, i = real(period)
+        return 1, c, i
+
+    monkeypatch.setattr(lang, "_markov_periodic", under_reported)
+    monkeypatch.setattr(biseq, "_markov_periodic", under_reported)
+    lang.period_markov.cache_clear()
+    try:
+        cert = membership(Word("2211"), Fraction(29, 10))
+        assert cert.verdict == "in" and not cert.verify()
+    finally:
+        lang.period_markov.cache_clear()
+
+
+def test_family_check_refuses_above_the_threshold():
+    # m(per(2211)) = sqrt(221)/5 > 2.9: 2211's family entry gives no witness
+    th = Threshold.of(Fraction(29, 10))
+    assert lang.factor_witness_map(4)["2211"] == ("2211", 0)
+    assert lang._family_witness("2211", th) is None
+    cert = membership(Word("2211"), th)
+    assert (cert.verdict, cert.refutation_depth) == ("out", 0)
+
+
+def test_rational_quadsurd_threshold_is_its_rational():
+    assert Threshold.of(QuadSurd(3)) == Threshold.of(3)
+    assert Threshold.of(QuadSurd(6, 0, 2)).qmax == Threshold.of(Fraction(3)).qmax
+    assert membership(Word("2211"), QuadSurd(3)).row() == membership(Word("2211"), 3).row()
+
+
+def test_sigma3_factors_read_no_markov_value(monkeypatch):
+    want = sigma3_factors(12).word_set()
+
+    def refuse(period):
+        raise AssertionError("period_markov read for %s" % period)
+
+    monkeypatch.setattr(lang, "period_markov", refuse)
+    got = sigma3_factors(12)
+    assert got.word_set() == want
+    assert all(cert.verify() for cert in got.words.values())
+
+
+def _factor_witness_map_reference(n):
+    """The family grown by letter count q, each count's Christoffel words
+    in theta order p/q (the construction before farey_words was read)."""
+    wmap = {}
+    for q in range(1, n // 2 + 4):
+        if q == 1:
+            periods = ["22", "11"]
+        else:
+            periods = [str(theta_inverse(Fraction(p, q)).to_word())
+                       for p in range(1, q) if math.gcd(p, q) == 1]
+        for period in periods:
+            for w, off in lang._windows(period, n):
+                wmap.setdefault(w, (period, off))
+    return wmap
+
+
+def test_factor_witness_map_matches_the_letter_count_loop():
+    for n in range(1, 69):
+        # same words, same winning periods, same first-wins order
+        assert list(lang.factor_witness_map(n).items()) == \
+            list(_factor_witness_map_reference(n).items()), n
 
 
 def test_sigma_streams_each_survivor_into_membership(monkeypatch):

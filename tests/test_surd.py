@@ -23,9 +23,10 @@ def test_canonical_forms():
     s = QuadSurd(0, 1, 1, 8)
     assert (s.q, s.d) == (2, 2)  # sqrt8 = 2 sqrt2
     assert QuadSurd(3, 0, 1, 7).d == 0
+    # a QuadSurd prints as the SurdSum of its value
     assert str(QuadSurd(0, 1, 5, 221)) == "√221/5"
-    assert str(QuadSurd(-1, 1, 2, 5)) == "(-1+√5)/2"
-    assert str(QuadSurd(1, 1, 1, 2)) == "1+√2"
+    assert str(QuadSurd(-1, 1, 2, 5)) == "-1/2 + √5/2"
+    assert str(QuadSurd(1, 1, 1, 2)) == "1 + √2"
 
 
 def test_equalities_across_representations():
@@ -156,6 +157,11 @@ def test_decimal_truncates_negative_values_toward_zero():
     for d in (2, 3, 7):
         assert (-SurdSum({d: 1})).decimal(20) == "-" + SurdSum({d: 1}).decimal(20)
 
+    # √2 - 665857/470832 ~ -1.6e-12: its enclosure straddles 0 at 16 and 32
+    # bits, so decimal refines past an undecided sign
+    near = SurdSum({2: 1, 1: Fraction(-665857, 470832)})
+    assert near.decimal(20) == "-0.00000000000159486182"
+
 
 def test_decimal_at_zero_and_negative_digits():
     assert SurdSum({10: 1}).decimal(0) == "3"
@@ -277,3 +283,17 @@ def test_additive_identities(a, b, c):
     assert (a + b) - b == a
     assert (a + b) + c == a + (b + c)
     assert a - a == 0
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@given(quad_surds, quad_surds, rationals)
+def test_quad_surd_orders_subtracts_and_prints_as_its_sum(x, y, f):
+    # one comparison, one subtraction and one printed form for both types
+    assert str(x) == str(x.to_sum())
+    assert x == x.to_sum() and x.to_sum() == x
+    assert (x < f) == (x.to_sum() < f) and (x > f) == (x.to_sum() > f)
+    assert (x < y) == (x.to_sum() < y.to_sum())
+    assert x - y == x.to_sum() - y.to_sum()
+    assert x - f == x.to_sum() - f and f - x == f - x.to_sum()
