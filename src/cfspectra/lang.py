@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .alphabets import ROOT, children, farey_words
-from .biseq import BiSeq, _markov_periodic, lambda_at, markov_value
-from .cf import IDENTITY, cf_matrix, floor_exp, floor_log, mat_mul
+from .biseq import BiSeq, _markov_periodic, markov_value
+from .cf import IDENTITY, cf_matrix, floor_exp, floor_log, mat_mul, periodic_fixpoint
 from .errors import DomainError
 from .surd import QuadSurd
 from .words import Word
@@ -57,8 +57,9 @@ class Threshold:
     root_le, the comparison of a periodic witness's Markov value.  A
     rational t also keeps its excess over 3, the integer excess = num - 3 den
     with t - 3 = excess/den: positions carry their values as offsets from 3,
-    so a sign or a bit length settles most decisions.  value is t as given or
-    parsed (it is printed).  qmax caps the block rule's cylinder
+    so a sign or a bit length settles most decisions, and slack is the bit
+    length of excess less that of den, plus 2 (see decide).  value is t as
+    given or parsed (it is printed).  qmax caps the block rule's cylinder
     denominators (see _aabb_factor).
     """
     value: object = field(compare=False)
@@ -66,6 +67,7 @@ class Threshold:
     den: int
     root: bool
     excess: int = field(compare=False)
+    slack: int = field(compare=False)
     qmax: int | None = field(compare=False)
 
     @staticmethod
@@ -92,20 +94,20 @@ class Threshold:
                 return 1
             a, b = num * h + den, den * h
             return -1 if a <= 0 or a * a * self.den <= self.num * b * b else 0
-        e, t_den = self.excess, self.den
+        e = self.excess
         if x <= 0 <= e:
             # the common case near 3: v <= 3 <= t, so the verdict is y's,
             # and live when y t_den, of at least ly + lt - 2 bits, exceeds
-            # e den h, of at most le + ld + lh bits (no product formed)
+            # e den h, of at most le + ld + lh bits (no product formed):
+            # when ly - ld - lh >= slack = le - lt + 2
             y = x * h + den
             if y <= 0:
                 return -1
-            if (y.bit_length() + t_den.bit_length() - 2
-                    >= e.bit_length() + den.bit_length() + h.bit_length()):
+            if y.bit_length() - den.bit_length() - h.bit_length() >= self.slack:
                 return 0
-        elif _product_gt(x, t_den, e, den):
+        elif _product_gt(x, self.den, e, den):
             return 1
-        return 0 if _product_gt(x * h + den, t_den, e, den * h) else -1
+        return 0 if _product_gt(x * h + den, self.den, e, den * h) else -1
 
     def root_le(self, D, c):
         """sqrt(D)/c <= t, exactly (D >= 0, c > 0)."""
@@ -136,15 +138,17 @@ def _threshold(x):
         if (value.p, value.q, value.r, value.d) != (0, 2, 1, 3):
             raise DomainError("enumeration thresholds must be rational or sqrt(12)")
         # sqrt(12) - 3 > e^-1: only factors with r = 0, q < e, qualify
-        return Threshold(value, 12, 1, True, 0, floor_exp(1))
+        return Threshold(value, 12, 1, True, 0, 0, floor_exp(1))
     f = Fraction(value.p, value.r) if isinstance(value, QuadSurd) else Fraction(value)
     num, den = f.numerator, f.denominator
-    excess = f - 3
+    excess = num - 3 * den
     # the block rule refutes above 3 + e^-r, so the cap is the largest r with
     # e^-r >= t - 3, and r(w) = floor(ln q) <= r iff q <= floor(e^(r+1)):
     # None (no cap) for t <= 3, 0 (no block applies) for t >= 4
-    qmax = None if excess <= 0 else 0 if excess >= 1 else floor_exp(floor_log(1 / excess) + 1)
-    return Threshold(value, num, den, False, num - 3 * den, qmax)
+    qmax = (None if excess <= 0 else 0 if excess >= den
+            else floor_exp(floor_log(Fraction(den, excess)) + 1))
+    return Threshold(value, num, den, False, excess,
+                     excess.bit_length() - den.bit_length() + 2, qmax)
 
 
 # --------------------------------------------- admissible-tail value bounds
@@ -160,6 +164,8 @@ class TailTables:
     length (0 = no parity constraint: unbounded on the far side or longer
     than the ban).  The bounds, integer pairs (num, den), are the fixed point
     of the outward-rounded map (lo down, hi up; see _iterate_tables).
+    ends[digit][L] is the pair (lo, hi) of state (digit, L), L = 0 .. j, the
+    one lookup behind bounds.
     """
 
     def __init__(self, j1, j2, lo, hi):
@@ -167,12 +173,13 @@ class TailTables:
         self.j2 = j2
         self._lo = lo
         self._hi = hi
+        self.ends = {d: tuple((lo[d, L], hi[d, L]) for L in range(j + 1))
+                     for d, j in (("1", j1), ("2", j2))}
 
     def bounds(self, digit, runlen, bounded):
         """((lo_num, lo_den), (hi_num, hi_den)) for tails at this junction."""
-        j = self.j1 if digit == "1" else self.j2
-        s = (digit, runlen if bounded and runlen <= j else 0)
-        return self._lo[s], self._hi[s]
+        ends = self.ends[digit]
+        return ends[runlen if bounded and runlen < len(ends) else 0]
 
     def run_banned(self, digit, runlen):
         """Whether closing a both-sided run of this digit and length is banned."""
@@ -332,6 +339,30 @@ def factor_witness_map(n):
 
 # ------------------------------------------------------------- certificates
 
+def _phase_lambdas(period):
+    """lambda at each phase i of per(period), as QuadSurds in phase order,
+    in O(k) field steps for a period p_0 .. p_{k-1} of k digits.
+
+    lambda_i = s_i + y_i, with y_i = [0; p_{i-1}, p_{i-2}, ...] read by the
+    backward recurrence y_{i+1} = 1/(p_i + y_i) from y_0, the fixed point of
+    the reversed period, and s_i = [p_i; p_{i+1}, ...] by the forward one
+    s_i = p_i + 1/s_{i+1} from s_k = 1/x, x the fixed point of the period.
+    Both fixed points are roots of quadratics of discriminant
+    tr(G)^2 - 4 det(G), G the period's cf_matrix (the reversed period's
+    matrix is its transpose), so every value stays in the one field
+    Q(sqrt(D)) and each lambda_i is one QuadSurd."""
+    p = [int(c) for c in str(period)]
+    y = [periodic_fixpoint(str(period)[::-1])]  # y_0 .. y_{k-1}
+    for d in p[:-1]:
+        y.append(1 / (d + y[-1]))
+    s = 1 / periodic_fixpoint(period)
+    out = []
+    for d, y_i in zip(reversed(p), reversed(y)):  # i = k-1 .. 0
+        s = d + 1 / s
+        out.append(s + y_i)
+    return out[::-1]
+
+
 @dataclass
 class MembershipCertificate:
     word: Word
@@ -341,9 +372,9 @@ class MembershipCertificate:
     refutation_depth: int | None = None
 
     def verify(self):
-        """Re-check the certificate through the exact sequence machinery,
+        """Re-check the certificate through exact quadratic-surd arithmetic,
         not the integer kernel that decided it: a periodic witness has
-        lambda <= t at each phase of one period, by lambda_at; any other
+        lambda <= t at each phase of one period, by _phase_lambdas; any other
         witness has its Markov value <= t, by markov_value."""
         if self.verdict != "in":
             return True
@@ -351,8 +382,7 @@ class MembershipCertificate:
         if seq.segment(0, len(self.word)) != str(self.word):
             return False
         if seq.is_periodic():
-            return all(lambda_at(seq, i) <= self.threshold
-                       for i in range(len(seq.right_period)))
+            return all(lam <= self.threshold for lam in _phase_lambdas(seq.right_period))
         mv, _, _ = markov_value(seq)
         return mv <= self.threshold  # any exact threshold
 
@@ -453,8 +483,27 @@ def _min_tail_image(g, parity, lo, hi):
 # leading run; and the live positions (i, beta, bd, g00, g01, g10, g11), the
 # base s[i] plus the least backward tail image at i being 3 + beta/bd and
 # (g00, g01, g10, g11) the forward matrix M(s[i+1]) .. M(s[n-1]).  A bound
-# is built whole or grown on the right, never on the left: once the leading
-# run is closed the bases never change, so one retirement rule serves both.
+# is built whole (_bound_build) or grown on the right into both its
+# children at once (_bound_children), never on the left: once the leading
+# run is closed the bases never change, so one retirement rule serves both,
+# and both test each position by _position_verdict.
+
+def _position_verdict(decide, beta, bd, g00, g01, g10, g11, tail):
+    """Threshold.decide at a position of base 3 + beta/bd and forward matrix
+    g, whose least forward tail image is read at tail, the end run's tail
+    bound for the position's parity: 1 refuted, -1 retired, 0 live.
+
+    The least forward tail image is (g00 x + g01)/(g10 x + g11) at the tail
+    bound x = lo when the forward part has even length and x = hi when odd
+    (see _min_tail_image), and the cylinder of the forward part has diameter
+    1/(g11 (g10 + g11)).  A position retires when its bound plus that
+    diameter is <= t: growing s only narrows its forward tail inside that
+    cylinder, and leaves its base alone once the leading run is closed
+    (before that, a child is built whole)."""
+    xn, xd = tail
+    fd = g10 * xn + g11 * xd
+    return decide(beta * fd + (g00 * xn + g01 * xd) * bd, bd * fd, g11 * (g10 + g11))
+
 
 def _bound_build(s, th, tables):
     """The position bound of the digit string s, built whole from suffix
@@ -468,6 +517,8 @@ def _bound_build(s, th, tables):
     if tables.has_banned_run(s):
         return None
     back = tables.bounds(*TailTables.start_run(s))
+    end = TailTables.end_run(s)
+    tails = tables.bounds(*end)
     forward = [IDENTITY]
     for c in reversed(s[1:]):
         forward.append(mat_mul((0, 1, 1, int(c)), forward[-1]))
@@ -476,55 +527,78 @@ def _bound_build(s, th, tables):
     live = []
     for i, c in enumerate(s):
         bn, bd = _min_tail_image(rev, i % 2, *back)
-        live.append((i, bn + (int(c) - 3) * bd, bd) + forward[i])
-        rev = mat_mul((0, 1, 1, int(c)), rev)
-    return _bound_check(s, rev, TailTables.end_run(s), back, live, th, tables)
-
-
-def _bound_push(bound, d, th, tables):
-    """The position bound of s + d grown from the bound of s, or None as
-    _bound_build.  While s is one run, every position's backward tail reads
-    the leading run, which the push may close: s + d is then built whole."""
-    s, rev, (e_d, e_r, e_b), back, live = bound
-    if not e_b:
-        return _bound_build(s + d, th, tables)
-    if d != e_d and tables.run_banned(e_d, e_r):
-        return None  # closing a banned interior odd run
-    c = int(d)
-    bn, bd = _min_tail_image(rev, len(s) % 2, *back)
-    # each forward matrix g becomes g M(c)
-    grown = [(i, beta, b_d, g01, g00 + c * g01, g11, g10 + c * g11)
-             for i, beta, b_d, g00, g01, g10, g11 in live]
-    grown.append((len(s), bn + (c - 3) * bd, bd) + IDENTITY)
-    end = (d, e_r + 1 if d == e_d else 1, True)
-    return _bound_check(s + d, mat_mul((0, 1, 1, c), rev), end, back, grown, th, tables)
-
-
-def _bound_check(s, rev, end, back, live, th, tables):
-    """The bound of s from its live positions, or None when one exceeds t.
-    A position retires when its bound plus its forward cylinder diameter is
-    <= t: growing s only narrows its forward tail inside that cylinder, and
-    leaves its base alone once the leading run is closed (before that, the
-    next push builds s whole).
-
-    At position i the least forward tail image is (g00 x + g01)/(g10 x + g11)
-    at the tail bound x = lo when s[i+1:] has even length and x = hi when
-    odd (see _min_tail_image), and the cylinder of s[i+1:] has diameter
-    1/(g11 (g10 + g11))."""
-    tails = tables.bounds(*end)
-    last = len(s) - 1
-    decide = th.decide
-    kept = []
-    for pos in live:
-        i, beta, bd, g00, g01, g10, g11 = pos
-        xn, xd = tails[(last - i) % 2]
-        fn, fd = g00 * xn + g01 * xd, g10 * xn + g11 * xd
-        verdict = decide(beta * fd + fn * bd, bd * fd, g11 * (g10 + g11))
+        pos = (i, bn + (int(c) - 3) * bd, bd) + forward[i]
+        verdict = _position_verdict(th.decide, *pos[1:], tails[(len(s) - 1 - i) % 2])
         if verdict > 0:
             return None
         if verdict == 0:
-            kept.append(pos)
-    return s, rev, end, back, kept
+            live.append(pos)
+        rev = mat_mul((0, 1, 1, int(c)), rev)
+    return s, rev, end, back, live
+
+
+def _bound_children(bound, th, tables):
+    """The position bounds of s + "1" and s + "2" grown from the bound of s,
+    each None as _bound_build gives it, from one walk over the live
+    positions: each is unpacked once, its forward matrix g grown to g M(1)
+    and g M(2), and tested for each child still alive against that child's
+    end-run tail bounds.  While s is one run, every position's backward tail
+    reads the leading run, which a child may close: both are then built
+    whole."""
+    s, rev, (e_d, e_r, e_b), back, live = bound
+    if not e_b:
+        return _bound_build(s + "1", th, tables), _bound_build(s + "2", th, tables)
+    n = len(s)
+    # each child's end run and the tail bounds it reads; the child that
+    # closes the end run is dead from the start (kept None) when that closes
+    # a banned interior odd run
+    r1, r2 = (e_r + 1, 1) if e_d == "1" else (1, e_r + 1)
+    ends1, ends2 = tables.ends["1"], tables.ends["2"]
+    tails1 = ends1[r1 if r1 < len(ends1) else 0]
+    tails2 = ends2[r2 if r2 < len(ends2) else 0]
+    kept1, kept2 = [], []
+    if tables.run_banned(e_d, e_r):
+        kept1, kept2 = (kept1, None) if e_d == "1" else (None, kept2)
+    decide = th.decide
+    # the two children are written out, not looped over: this walk is the
+    # enumerator's inner loop
+    for i, beta, bd, g00, g01, g10, g11 in live:
+        par = (n - i) % 2
+        a, b = g00 + g01, g10 + g11  # g M(1) = (g01, a, g11, b)
+        if kept1 is not None:
+            verdict = _position_verdict(decide, beta, bd, g01, a, g11, b, tails1[par])
+            if verdict > 0:
+                kept1 = None
+            elif verdict == 0:
+                kept1.append((i, beta, bd, g01, a, g11, b))
+        if kept2 is not None:
+            a, b = a + g01, b + g11  # g M(2)
+            verdict = _position_verdict(decide, beta, bd, g01, a, g11, b, tails2[par])
+            if verdict > 0:
+                kept2 = None
+            elif verdict == 0:
+                kept2.append((i, beta, bd, g01, a, g11, b))
+    # the new last position, of forward matrix the identity, and the
+    # reversed product M(c) rev
+    bn, bd = _min_tail_image(rev, n % 2, *back)
+    r00, r01, r10, r11 = rev
+    one = two = None
+    if kept1 is not None:
+        beta = bn - 2 * bd
+        verdict = _position_verdict(decide, beta, bd, 1, 0, 0, 1, tails1[0])
+        if verdict <= 0:
+            if verdict == 0:
+                kept1.append((n, beta, bd, 1, 0, 0, 1))
+            one = s + "1", (r10, r11, r00 + r10, r01 + r11), ("1", r1, True), back, kept1
+    if kept2 is not None:
+        beta = bn - bd
+        verdict = _position_verdict(decide, beta, bd, 1, 0, 0, 1, tails2[0])
+        if verdict <= 0:
+            if verdict == 0:
+                kept2.append((n, beta, bd, 1, 0, 0, 1))
+            two = (s + "2", (r10, r11, r00 + 2 * r10, r01 + 2 * r11), ("2", r2, True),
+                   back, kept2)
+    return one, two
 
 
 # ------------------------------------------- forbidden-block refutation rule
@@ -608,11 +682,11 @@ def membership(w, t, max_depth=28, *, bound=None):
 
     The search extends the word alternately on the right and on the left.
     Every context is screened by its position bound, then by the block
-    rule; a right extension grows its parent's bound by one digit
-    (_bound_push), a left extension builds its bound whole (_bound_build).
-    Every test is integer arithmetic (Threshold.decide at each live
-    position, Threshold.root_le for each witness, and the block rule's
-    cylinder denominator against Threshold.qmax).
+    rule; the two right extensions are grown from their parent's bound in
+    one pass (_bound_children), a left extension builds its bound whole
+    (_bound_build).  Every test is integer arithmetic (Threshold.decide at
+    each live position, Threshold.root_le for each witness, and the block
+    rule's cylinder denominator against Threshold.qmax).
 
     The order of the witnesses and the refutations never changes a verdict:
     a witness is a bi-infinite sequence with lambda <= t everywhere that
@@ -673,11 +747,11 @@ def membership(w, t, max_depth=28, *, bound=None):
         nxt = []
         extend_left = depth % 2 == 1
         for bound in frontier:
-            for d in "12":
-                if extend_left:
-                    child = screened(_bound_build(d + bound[0], th, tables))
-                else:
-                    child = screened(_bound_push(bound, d, th, tables))
+            if extend_left:
+                kids = (_bound_build(d + bound[0], th, tables) for d in "12")
+            else:
+                kids = _bound_children(bound, th, tables)
+            for child in map(screened, kids):
                 if child is None:
                     max_refuted = max(max_refuted, depth + 1)
                 else:
@@ -694,10 +768,11 @@ def _enumerate_survivors(th, n, tables):
     (see _bound_build) of each length-n word whose bound survives, as the
     tree finds it.
 
-    Each child grows its parent's bound by one digit on the right
-    (_bound_push), so a prefix dies when it closes a banned interior odd run
-    or some position's best-case lambda over admissible completions exceeds
-    t, and only the positions not yet retired are re-evaluated.
+    Both children of a prefix are grown from its bound in one pass over its
+    live positions (_bound_children), so a prefix dies when it closes a
+    banned interior odd run or some position's best-case lambda over
+    admissible completions exceeds t, and only the positions not yet
+    retired are re-evaluated.
     """
     stack = [b for b in (_bound_build(d, th, tables) for d in "12") if b is not None]
     while stack:
@@ -705,10 +780,11 @@ def _enumerate_survivors(th, n, tables):
         if len(bound[0]) == n:
             yield bound
             continue
-        for d in "12":
-            child = _bound_push(bound, d, th, tables)
-            if child is not None:
-                stack.append(child)
+        one, two = _bound_children(bound, th, tables)
+        if one is not None:
+            stack.append(one)
+        if two is not None:
+            stack.append(two)
 
 
 def sigma_enumerate(t, n, max_depth=28):

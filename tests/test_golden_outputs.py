@@ -2,8 +2,10 @@
 fixed set of commands.
 
 `cli.main` runs in-process with stdout redirected, so the whole set takes
-about two seconds.  The digests pin every output byte of commands that cover
-each subcommand family (sigma in all three formats, eval of a Markov value
+about seven seconds, most of it the length-68 language.  The digests pin
+every output byte of commands that cover each subcommand family (sigma in
+all three formats, one at length 68, where the tail tables ban runs up to
+length 81 and 11,246 words survive the enumerator, eval of a Markov value
 and of a lambda value, cuts on a good, a bad and two mixed cuts, one pushcut
 per template kind and one template mismatch, --verify on each subcommand that
 reads it, connect, dim, renorm, interval, farey, alphabets, bound, asym).
@@ -25,6 +27,8 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 GOLDEN = [
     (("sigma", "--t", "3+6^-204", "--n", "34", "-f", "json"),
      0, "1eb0608861c4ef7cee4f9b2354954a0e1318c7920bae27502c4ae2c713cc1fa3"),
+    (("sigma", "--t", "3+6^-204", "--n", "68", "-f", "json"),
+     0, "7087c67005d59d088fa9dc88fd76b66b8ddb82b902ea16a0f573e7da412edb0e"),
     (("sigma", "--t", "3+6^-6", "--n", "12", "-f", "csv"),
      0, "bc7f8f53f50183ee5455f74e0315e59e19b7831554630cc38176b2494d40a8a4"),
     (("sigma", "--t", "3", "--n", "16", "-f", "json"),

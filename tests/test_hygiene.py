@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package reads each name it imports,
 every name a module defines at top level is read somewhere, no two classes
-of one module define a method with the same body, and no module reads
-mpmath's global contexts or sets a precision.
+of one module define a method with the same body, no module reads
+mpmath's global contexts or sets a precision, and every _private name the
+docstrings, comments and README write is one the package defines.
 
 The package's `__init__` is skipped by the import check: its imports are the
 public names it re-exports.  `from __future__` imports bind no name.
@@ -9,7 +10,9 @@ public names it re-exports.  `from __future__` imports bind no name.
 
 import ast
 import copy
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -208,3 +211,63 @@ def test_the_check_sees_a_global_precision():
                      "bits = ctx.prec\n")
     assert _global_precision_uses(tree) == [(2, "mpmath.iv"), (3, "mpmath.iv"),
                                             (4, ".dps ="), (4, "mpmath.mp"), (5, ".prec =")]
+
+
+_PRIVATE = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def _doc_texts(source):
+    """The docstrings and the comments of a module's source."""
+    tree = ast.parse(source)
+    docs = [ast.get_docstring(node, clean=False) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT]
+    return [d for d in docs if d] + comments
+
+
+def _defined_names(source):
+    """Every name a module binds: functions, classes, assigned names and
+    attributes, parameters and imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+    return out
+
+
+def _stale_private_names(modules, docs):
+    """(file, name) for each _private name written in a docstring or comment
+    of modules (name -> source) or anywhere in docs (name -> text) that no
+    module defines."""
+    defined = set().union(*map(_defined_names, modules.values()))
+    texts = [(name, text) for name, source in modules.items() for text in _doc_texts(source)]
+    texts += list(docs.items())
+    return sorted({(name, word) for name, text in texts for word in _PRIVATE.findall(text)
+                   if word not in defined})
+
+
+def test_docs_name_only_existing_private_names():
+    modules = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    readme = PACKAGE.parents[1] / "README.md"
+    assert _stale_private_names(modules, {readme.name: readme.read_text()}) == []
+
+
+def test_the_check_sees_a_stale_private_name():
+    source = ('"""Uses _kept and _gone."""\n'
+              "import os as _os\n"
+              "def _kept(_arg):\n"
+              "    # _arg is read, _also_gone is not defined\n"
+              "    return _os.sep + '_in_a_string'\n")
+    docs = {"README.md": "`m._kept`, `m._missing`, __init__ and x_i"}
+    assert _stale_private_names({"m.py": source}, docs) == [
+        ("README.md", "_missing"), ("m.py", "_also_gone"), ("m.py", "_gone")]

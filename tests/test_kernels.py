@@ -415,8 +415,9 @@ def test_position_pass_matches_position_and_bar_scans(s, t, cap):
     """The bar bound at a 1122 is the position bound at its first 2
     ([0;2,Y] = 1 - [0;1,1,Y]), so one pass gives the old verdict.
 
-    A bound grown digit by digit from the first digit is None exactly from
-    the first prefix the reference scans reject.  Up to then it carries the
+    A bound grown digit by digit from the first digit, each step taking the
+    child of the next digit from _bound_children, is None exactly from the
+    first prefix the reference scans reject.  Up to then it carries the
     whole build's string, matrices, runs and tail bounds, and every position
     live in both has the same base and forward matrix."""
     th = lang.Threshold.of(t)
@@ -426,7 +427,7 @@ def test_position_pass_matches_position_and_bar_scans(s, t, cap):
     bound = lang._bound_build(s[0], th, tables)
     for k in range(1, len(s) + 1):
         if k > 1:
-            bound = lang._bound_push(bound, s[k - 1], th, tables)
+            bound = lang._bound_children(bound, th, tables)[int(s[k - 1]) - 1]
         assert (bound is None) == _position_violation_reference(s[:k], th, tables), k
         if bound is None:
             break
@@ -434,6 +435,92 @@ def test_position_pass_matches_position_and_bar_scans(s, t, cap):
         assert bound[:4] == whole[:4]
         live = {pos[0]: pos for pos in whole[4]}
         assert all(live.get(pos[0], pos) == pos for pos in bound[4]), k
+
+
+# the position-bound kernel as it was when each child was grown by its own
+# push, re-walking the parent's live positions: a bound built whole, checked
+# after every position is formed, and grown by one digit
+
+
+def _bound_build_reference(s, th, tables):
+    if tables.has_banned_run(s):
+        return None
+    back = tables.bounds(*lang.TailTables.start_run(s))
+    forward = [IDENTITY]
+    for c in reversed(s[1:]):
+        forward.append(mat_mul((0, 1, 1, int(c)), forward[-1]))
+    forward.reverse()
+    rev = IDENTITY
+    live = []
+    for i, c in enumerate(s):
+        bn, bd = lang._min_tail_image(rev, i % 2, *back)
+        live.append((i, bn + (int(c) - 3) * bd, bd) + forward[i])
+        rev = mat_mul((0, 1, 1, int(c)), rev)
+    return _bound_check_reference(s, rev, lang.TailTables.end_run(s), back, live, th,
+                                  tables)
+
+
+def _bound_push_reference(bound, d, th, tables):
+    s, rev, (e_d, e_r, e_b), back, live = bound
+    if not e_b:
+        return _bound_build_reference(s + d, th, tables)
+    if d != e_d and tables.run_banned(e_d, e_r):
+        return None
+    c = int(d)
+    bn, bd = lang._min_tail_image(rev, len(s) % 2, *back)
+    grown = [(i, beta, b_d, g01, g00 + c * g01, g11, g10 + c * g11)
+             for i, beta, b_d, g00, g01, g10, g11 in live]
+    grown.append((len(s), bn + (c - 3) * bd, bd) + IDENTITY)
+    end = (d, e_r + 1 if d == e_d else 1, True)
+    return _bound_check_reference(s + d, mat_mul((0, 1, 1, c), rev), end, back, grown,
+                                  th, tables)
+
+
+def _bound_check_reference(s, rev, end, back, live, th, tables):
+    tails = tables.bounds(*end)
+    last = len(s) - 1
+    kept = []
+    for pos in live:
+        i, beta, bd, g00, g01, g10, g11 = pos
+        xn, xd = tails[(last - i) % 2]
+        fn, fd = g00 * xn + g01 * xd, g10 * xn + g11 * xd
+        verdict = th.decide(beta * fd + fn * bd, bd * fd, g11 * (g10 + g11))
+        if verdict > 0:
+            return None
+        if verdict == 0:
+            kept.append(pos)
+    return s, rev, end, back, kept
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_digit_words(60),
+                 st.lists(st.sampled_from(["11", "22", "1122", "2211"]),
+                          min_size=1, max_size=15).map("".join),
+                 st.tuples(st.sampled_from("12"), st.integers(1, 20)).map(
+                     lambda p: p[0] * p[1])),
+       st.sampled_from(_SCREEN_THRESHOLDS + ["2.9", "3.2"]), st.sampled_from([8, 40, 70]))
+@example("1111111", "3", 8)
+@example("2222", "3+6^-6", 40)
+@example("221", "2.9", 8)
+def test_children_match_one_push_per_digit(s, t, cap):
+    """Along s, every bound grown by the reference push has as children the
+    reference pushes of 1 and 2: each is None exactly when that push is, and
+    otherwise equals it tuple for tuple (string, reversed product, end run,
+    backward tail bounds, live positions in order).  The walk starts at the
+    first digit, so while s opens with one run the children are built
+    whole, and the one that closes the run may be refuted by its new
+    backward tails.  Each prefix's whole build is the reference build."""
+    th = lang.Threshold.of(t)
+    tables = lang.tail_tables_for(th, cap)
+    bound = _bound_build_reference(s[0], th, tables)
+    for k in range(1, len(s) + 1):
+        if bound is None:
+            break
+        assert lang._bound_children(bound, th, tables) == tuple(
+            _bound_push_reference(bound, d, th, tables) for d in "12"), k
+        assert lang._bound_build(s[:k], th, tables) == _bound_build_reference(s[:k], th, tables)
+        if k < len(s):
+            bound = _bound_push_reference(bound, s[k], th, tables)
 
 
 @pytest.mark.parametrize("t", ["3", "3+6^-6", "3+6^-204", "3.05", "3.2", "2.9",

@@ -204,10 +204,11 @@ def test_factor_witness_map_matches_the_letter_count_loop():
 
 def test_sigma_streams_each_survivor_into_membership(monkeypatch):
     """sigma_enumerate certifies each survivor as the prefix tree finds it:
-    membership is first called before the tree's last push, so the
+    membership is first called before the tree's last push (one
+    _bound_children call grows both children of a prefix), so the
     survivors' bounds are never held as a list."""
     events, inside = [], []
-    push, member = lang._bound_push, lang.membership
+    push, member = lang._bound_children, lang.membership
 
     def push_spy(*args):
         if not inside:  # the tree's own pushes, not membership's search
@@ -222,7 +223,7 @@ def test_sigma_streams_each_survivor_into_membership(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(lang, "_bound_push", push_spy)
+    monkeypatch.setattr(lang, "_bound_children", push_spy)
     monkeypatch.setattr(lang, "membership", member_spy)
     sigma_enumerate("3+6^-6", 12)
     last_push = len(events) - 1 - events[::-1].index("push")
