@@ -5,14 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import mpmath
-from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_exp, mpf_gt, mpf_lt, mpf_mul,
+from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_cmp, mpf_exp, mpf_mul,
                           round_ceiling, round_floor)
 
 from . import lang
-from .cf import cylinder_length, extremal_image, log_bounds, periodic_fixpoint
+from .cf import IDENTITY, cf_matrix, extremal_image, log_bounds, mat_mul, periodic_fixpoint
 from .errors import DomainError, EmptyLanguage
 from .surd import refine
 
@@ -42,7 +41,7 @@ class _MoranSums:
 
     Each length's logarithm is taken once: as a float for the guide, and as
     a floor and ceiling per precision for the certified signs, shared by
-    both roots.
+    both roots and by both ends of every enclosure.
     """
 
     def __init__(self, lengths):
@@ -52,7 +51,8 @@ class _MoranSums:
 
     def guide(self, s, adjust):
         """Float guess of whether the map exceeds 1 at s (log-sum-exp);
-        only ever used to choose which endpoints to certify."""
+        only ever used to choose which endpoints, and which enclosure end,
+        to certify."""
         s = float(s)
         terms = [s * lg for lg in self.logs]
         top = max(terms)
@@ -63,35 +63,44 @@ class _MoranSums:
         """Certified sign of the map minus 1 at rational s in (0, 1], by
         refinement of an outward enclosure.
 
-        Every operation rounds the lower end down and the upper end up at
-        an explicit precision through mpmath.libmp, with no global
-        precision: each log, of a length or of the factor 2**adjust, is
-        cf.log_bounds, and exp, products and sums round alike.  Every
-        length's log is negative, so s's upper end gives the lower end
-        of each term and s's lower end its upper end; the factor's log,
-        adjust * log(2), pairs the ends the same way when adjust < 0.
+        Only one end can decide: the lower end > 1 gives +1, the upper end
+        < 1 gives -1.  So each precision first evaluates the end the guide
+        expects to decide (the lower one where the guide says the map
+        exceeds 1), and the other end only if that one does not.  An end
+        rounds every operation in one direction at an explicit precision
+        through mpmath.libmp, with no global precision: each log, of a
+        length or of the factor 2**adjust, is cf.log_bounds, and exp,
+        products and sums round alike.  Every length's log is negative, so
+        s's upper end gives the lower end of each term and s's lower end
+        its upper end; the factor's log, adjust * log(2), pairs the ends
+        the same way when adjust < 0.
         """
+        ends = [(round_floor, 1), (round_ceiling, -1)]
+        if not self.guide(s, adjust):
+            ends.reverse()
+
         def decide(bits):
             if bits not in self._logs_at:
                 self._logs_at[bits] = [log_bounds(n, d, bits) for n, d in self.lengths]
-            s_lo = from_rational(s.numerator, s.denominator, bits, round_floor)
-            s_hi = from_rational(s.numerator, s.denominator, bits, round_ceiling)
-            lo = hi = fzero
-            for lg_lo, lg_hi in self._logs_at[bits]:
-                lo = mpf_add(lo, mpf_exp(mpf_mul(s_hi, lg_lo, bits, round_floor),
-                                         bits, round_floor), bits, round_floor)
-                hi = mpf_add(hi, mpf_exp(mpf_mul(s_lo, lg_hi, bits, round_ceiling),
-                                         bits, round_ceiling), bits, round_ceiling)
-            f_lo, f_hi = log_bounds(2 ** max(adjust, 0), 2 ** max(-adjust, 0), bits)
-            a, b = (s_lo, s_hi) if adjust > 0 else (s_hi, s_lo)
-            lo = mpf_mul(mpf_exp(mpf_mul(a, f_lo, bits, round_floor), bits, round_floor),
-                         lo, bits, round_floor)
-            hi = mpf_mul(mpf_exp(mpf_mul(b, f_hi, bits, round_ceiling), bits, round_ceiling),
-                         hi, bits, round_ceiling)
-            if mpf_gt(lo, fone):
-                return 1
-            if mpf_lt(hi, fone):
-                return -1
+            logs = self._logs_at[bits]
+            s_ends = (from_rational(s.numerator, s.denominator, bits, round_floor),
+                      from_rational(s.numerator, s.denominator, bits, round_ceiling))
+            factor = log_bounds(2 ** max(adjust, 0), 2 ** max(-adjust, 0), bits)
+
+            def end(rnd):
+                up = rnd == round_ceiling
+                s_term = s_ends[not up]
+                total = fzero
+                for pair in logs:
+                    total = mpf_add(total, mpf_exp(mpf_mul(s_term, pair[up], bits, rnd), bits, rnd),
+                                    bits, rnd)
+                s_factor = s_ends[up] if adjust > 0 else s_term
+                return mpf_mul(mpf_exp(mpf_mul(s_factor, factor[up], bits, rnd), bits, rnd),
+                               total, bits, rnd)
+
+            for rnd, sgn in ends:
+                if mpf_cmp(end(rnd), fone) == sgn:
+                    return sgn
             return None
 
         return refine(decide, 64)
@@ -123,7 +132,9 @@ def _root(sums, adjust):
     when the guide ends at hi = 1, since the map is nonincreasing and a
     certified sign < 0 at any hi < 1 already puts it below 1 at s = 1.  If
     either endpoint fails, the bisection reruns on certified signs alone,
-    after the check of s = 1.
+    after the check of s = 1.  Each certified sign evaluates the one
+    enclosure end the guide expects to decide (the lower end at lo, the
+    upper end at hi), and the other end only when that one fails.
     """
     if len(sums.lengths) == 1:
         num, den = sums.lengths[0]
@@ -162,10 +173,17 @@ def _cylinders(words, level):
     sorted, refined first to all concatenations of length level if it is
     set; returns (lengths, block length).
 
+    The concatenations are read as a prefix tree: G of each block is taken
+    once, and each round multiplies every prefix's matrix by every block's,
+    in itertools.product order; the last round keeps only the length
+    1 / (g11 * (g10 + g11)) of each word, which is in lowest terms since
+    det G = +-1.
+
     A repeated block adds nothing to the limit set; kept, it can put a root
     exactly on a bisection midpoint (["1", "1"]: the lower map is 1 at
     s = 1/2), where no interval enclosure decides the sign."""
     words, m = _block_set(words, "moran_bracket")
+    k = 1
     if level is not None:
         if level < 1:
             raise DomainError("level must be >= 1")
@@ -174,12 +192,16 @@ def _cylinders(words, level):
         k = level // m
         if len(words) ** k > 1 << 22:
             raise DomainError("refinement too large")
-        words = ["".join(t) for t in product(words, repeat=k)]
         m = level
+    blocks = [cf_matrix(w) for w in words]
+    prefixes = [IDENTITY]
+    for _ in range(k - 1):
+        prefixes = [mat_mul(g, b) for g in prefixes for b in blocks]
     lengths = []
-    for w in words:
-        f = cylinder_length(w)
-        lengths.append((f.numerator, f.denominator))
+    for g in prefixes:
+        for b in blocks:
+            _, _, g10, g11 = mat_mul(g, b)
+            lengths.append((1, g11 * (g10 + g11)))
     return lengths, m
 
 
@@ -207,8 +229,11 @@ def moran_bracket(words, level=None):
     lo and < 0 at hi proves that the bisection on certified signs, which
     checks the cap s = 1 first, takes the same path and returns the same
     root: two certified sums per root instead of 21 (one, at s = 1, for a
-    root capped at 1).  If the guide misled it at either endpoint, that
-    root is bisected again on certified signs.
+    root capped at 1), and each sum evaluates only the enclosure end that
+    decides it, the lower end at lo and the upper end at hi.  If the guide
+    misled it at either endpoint, that root is bisected again on certified
+    signs.  The refined cylinder lengths come from one matrix product per
+    prefix of the block tree (see _cylinders).
     """
     lengths, m = _cylinders(words, level)
     sums = _MoranSums(lengths)

@@ -78,6 +78,8 @@ GOLDEN = [
      0, "04584ff12ed7ec87696d2a035ca7196a9339313ef6b9ab53e571f36714a92dfa"),
     (("dim", "--blocks", "1,2", "--level", "8", "-f", "json"),
      0, "3429eae487032f485c0eeb9b35969600a4e47999dc621486cc907a688ad0e9e6"),
+    (("dim", "--blocks", "1,2", "--level", "12", "-f", "json"),
+     0, "43c063226b1b36d018a925184d38df46109dd898dcbfc43d66025ca78d3b1d39"),
     (("renorm", "--word", "221122112211", "--n", "6"),
      0, "4c2410d577dfeeefeb73545a7327916acbf1e047ccd8d6ddcba15eb185c18511"),
     (("interval", "--word", "2211"),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cfspectra import dimension, lang
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
-from cfspectra.cf import IDENTITY, floor_exp, floor_log, mat_mul, r_exponent
+from cfspectra.cf import IDENTITY, cylinder_length, floor_exp, floor_log, mat_mul, r_exponent
 from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum, refine
 from cfspectra.words import Word
@@ -896,6 +896,7 @@ PINNED_BRACKETS = [
     (["1", "2"], 4, "0.47450299398803714", "0.629606770111084"),
     (["1", "2"], 8, "0.5013575090637207", "0.5760798917541504"),
     (["1", "2"], 10, "0.5070719255676269", "0.5664859281311035"),
+    (["1", "2"], 12, "0.5109533800354004", "0.5602775083312989"),
     (["2211", "1212"], None, "0.11631341116333008", "0.15159087045288086"),
     (["1"], None, "0.0", "1.0"),
     (["2"], None, "0.0", "1e-06"),
@@ -964,6 +965,47 @@ def test_moran_roots_make_at_most_two_certified_sums_each(monkeypatch):
     assert 0 < len(evaluations) <= 2
 
 
+def _counted_exps(monkeypatch):
+    """Record every mpf_exp call in dimension: one per term and one for the
+    factor 2**(adjust*s), per evaluated enclosure end."""
+    calls = []
+    real = dimension.mpf_exp
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dimension, "mpf_exp", spy)
+    return calls
+
+
+def test_bracket_sums_evaluate_one_enclosure_end(monkeypatch):
+    # the guide picks the end that decides, so the other is never evaluated:
+    # four sums of 1024 terms; both ends of each would take 8,200 calls
+    calls = _counted_exps(monkeypatch)
+    dimension.moran_bracket(["1", "2"], level=10)
+    assert 0 < len(calls) <= 4 * (1024 + 1)
+
+
+def test_d_upper_sums_evaluate_one_enclosure_end(monkeypatch):
+    t = lang.parse_threshold("3+6^-6")
+    ls = lang.sigma_enumerate(t, 8)
+    assert len(ls.words) + len(ls.unresolved) == 36
+    calls = _counted_exps(monkeypatch)
+    dimension.d_upper(t, 8)
+    assert 0 < len(calls) <= 2 * (36 + 1)  # both ends would take 148
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_brackets_survive_a_constant_guide(monkeypatch, constant):
+    # a guide that never changes its answer misleads the bisection and the
+    # choice of enclosure end; the certified fallback restores every bracket
+    monkeypatch.setattr(dimension._MoranSums, "guide", lambda self, s, adjust: constant)
+    for blocks, level, lower, upper in PINNED_BRACKETS:
+        b = dimension.moran_bracket(blocks, level=level)
+        assert (repr(b.lower), repr(b.upper)) == (lower, upper), (blocks, level)
+
+
 def test_capped_root_takes_one_certified_sum_at_one(monkeypatch):
     sums = _counted_signs(monkeypatch)
     lengths, _ = dimension._cylinders(["1", "2"], None)
@@ -981,8 +1023,9 @@ def test_capped_root_survives_a_guide_that_ends_below_one(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_block_sets, st.integers(1, 24), st.booleans(), st.sampled_from([-1, 1]))
-def test_moran_sign_matches_interval_context(blocks, depth, take_hi, adjust):
+@given(_block_sets, st.integers(1, 24), st.booleans(), st.sampled_from([-1, 1]),
+       st.booleans())
+def test_moran_sign_matches_interval_context(blocks, depth, take_hi, adjust, invert):
     lengths, _ = dimension._cylinders(blocks, None)
     assume(not (adjust > 0 and lengths == [(1, 2)]))  # the map is 1 at every s
     sums = dimension._MoranSums(lengths)
@@ -996,7 +1039,30 @@ def test_moran_sign_matches_interval_context(blocks, depth, take_hi, adjust):
         else:
             hi = mid
     s = hi if take_hi or lo == 0 else lo
+    if invert:  # sign then evaluates the wrong enclosure end first
+        honest = sums.guide
+        sums.guide = lambda s, adjust: not honest(s, adjust)
     assert sums.sign(s, adjust) == _sum_sign_reference(lengths, s, adjust)
+
+
+def _cylinders_by_word(blocks, level):
+    """The refined lengths one word at a time: every concatenation from
+    itertools.product, each length from cf.cylinder_length."""
+    blocks = sorted(set(blocks))
+    words = ["".join(t) for t in itertools.product(blocks, repeat=level // len(blocks[0]))]
+    return [(f.numerator, f.denominator) for f in map(cylinder_length, words)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda m: st.tuples(st.lists(st.text(alphabet="12", min_size=m, max_size=m),
+                                 min_size=1, max_size=4, unique=True),
+                        st.integers(1, 12 // m).map(lambda k: k * m))))
+def test_cylinders_match_one_length_per_word(case):
+    blocks, level = case
+    lengths, m = dimension._cylinders(blocks, level)
+    assert m == level
+    assert lengths == _cylinders_by_word(blocks, level)
 
 
 def test_moran_sign_refines_past_64_bits_near_a_root(monkeypatch):
