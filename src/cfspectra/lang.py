@@ -9,6 +9,7 @@ depth, and Unresolved is a first-class verdict.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +23,8 @@ from .words import Word
 
 
 # ---------------------------------------------------------------- thresholds
+
+FIXED_BITS = 128  # F, the fraction bits of the fixed-point position screen
 
 _EXPONENTIAL = re.compile(r"(.+)([+-])(\d+)\^-(\d+)")
 
@@ -56,18 +59,18 @@ class Threshold:
     retired or live) at a position of the position-bound kernel, and
     root_le, the comparison of a periodic witness's Markov value.  A
     rational t also keeps its excess over 3, the integer excess = num - 3 den
-    with t - 3 = excess/den: positions carry their values as offsets from 3,
-    so a sign or a bit length settles most decisions, and slack is the bit
-    length of excess less that of den, plus 2 (see decide).  value is t as
-    given or parsed (it is printed).  qmax caps the block rule's cylinder
-    denominators (see _aabb_factor).
+    with t - 3 = excess/den: positions carry their values as offsets from 3.
+    fixed = floor((t - 3) 2^F), F = FIXED_BITS, is the screen that
+    _position_verdict runs before decide.  value is t as given or parsed
+    (it is printed).  qmax caps the block rule's cylinder denominators (see
+    _aabb_factor).
     """
     value: object = field(compare=False)
     num: int
     den: int
     root: bool
     excess: int = field(compare=False)
-    slack: int = field(compare=False)
+    fixed: int = field(compare=False)
     qmax: int | None = field(compare=False)
 
     @staticmethod
@@ -85,9 +88,8 @@ class Threshold:
         (refuted), -1 when v + 1/h <= t (retired), else 0 (live).
 
         A rational t compares x/den with e/t_den, e = excess, and
-        y/(den h) = v + 1/h - 3, y = x h + den, likewise (_product_gt): a
-        value on the other side of 3 from t is decided by a sign, and most
-        others by bit lengths.  sqrt(12) compares squares."""
+        y/(den h) = v + 1/h - 3, y = x h + den, likewise (_product_gt).
+        sqrt(12) compares squares."""
         if self.root:
             num = x + 3 * den
             if num > 0 and num * num * self.den > self.num * den * den:
@@ -95,17 +97,7 @@ class Threshold:
             a, b = num * h + den, den * h
             return -1 if a <= 0 or a * a * self.den <= self.num * b * b else 0
         e = self.excess
-        if x <= 0 <= e:
-            # the common case near 3: v <= 3 <= t, so the verdict is y's,
-            # and live when y t_den, of at least ly + lt - 2 bits, exceeds
-            # e den h, of at most le + ld + lh bits (no product formed):
-            # when ly - ld - lh >= slack = le - lt + 2
-            y = x * h + den
-            if y <= 0:
-                return -1
-            if y.bit_length() - den.bit_length() - h.bit_length() >= self.slack:
-                return 0
-        elif _product_gt(x, self.den, e, den):
+        if _product_gt(x, self.den, e, den):
             return 1
         return 0 if _product_gt(x * h + den, self.den, e, den * h) else -1
 
@@ -138,7 +130,8 @@ def _threshold(x):
         if (value.p, value.q, value.r, value.d) != (0, 2, 1, 3):
             raise DomainError("enumeration thresholds must be rational or sqrt(12)")
         # sqrt(12) - 3 > e^-1: only factors with r = 0, q < e, qualify
-        return Threshold(value, 12, 1, True, 0, 0, floor_exp(1))
+        return Threshold(value, 12, 1, True, 0,
+                         math.isqrt(12 << 2 * FIXED_BITS) - (3 << FIXED_BITS), floor_exp(1))
     f = Fraction(value.p, value.r) if isinstance(value, QuadSurd) else Fraction(value)
     num, den = f.numerator, f.denominator
     excess = num - 3 * den
@@ -147,8 +140,7 @@ def _threshold(x):
     # None (no cap) for t <= 3, 0 (no block applies) for t >= 4
     qmax = (None if excess <= 0 else 0 if excess >= den
             else floor_exp(floor_log(Fraction(den, excess)) + 1))
-    return Threshold(value, num, den, False, excess,
-                     excess.bit_length() - den.bit_length() + 2, qmax)
+    return Threshold(value, num, den, False, excess, (excess << FIXED_BITS) // den, qmax)
 
 
 # --------------------------------------------- admissible-tail value bounds
@@ -165,7 +157,9 @@ class TailTables:
     than the ban).  The bounds, integer pairs (num, den), are the fixed point
     of the outward-rounded map (lo down, hi up; see _iterate_tables).
     ends[digit][L] is the pair (lo, hi) of state (digit, L), L = 0 .. j, the
-    one lookup behind bounds.
+    one lookup behind bounds, with each bound x kept as the triple
+    (num, den, floor(x 2^F)), F = FIXED_BITS, for the position screen
+    (_position_verdict).
     """
 
     def __init__(self, j1, j2, lo, hi):
@@ -173,13 +167,23 @@ class TailTables:
         self.j2 = j2
         self._lo = lo
         self._hi = hi
-        self.ends = {d: tuple((lo[d, L], hi[d, L]) for L in range(j + 1))
+
+        def fixed(x):
+            return x + ((x[0] << FIXED_BITS) // x[1],)
+
+        self.ends = {d: tuple((fixed(lo[d, L]), fixed(hi[d, L])) for L in range(j + 1))
                      for d, j in (("1", j1), ("2", j2))}
+
+    def tails(self, digit, runlen, bounded):
+        """The ends entry (lo, hi) for tails at this junction, each bound a
+        triple (num, den, fixed)."""
+        ends = self.ends[digit]
+        return ends[runlen if bounded and runlen < len(ends) else 0]
 
     def bounds(self, digit, runlen, bounded):
         """((lo_num, lo_den), (hi_num, hi_den)) for tails at this junction."""
-        ends = self.ends[digit]
-        return ends[runlen if bounded and runlen < len(ends) else 0]
+        lo, hi = self.tails(digit, runlen, bounded)
+        return lo[:2], hi[:2]
 
     def run_banned(self, digit, runlen):
         """Whether closing a both-sided run of this digit and length is banned."""
@@ -480,29 +484,56 @@ def _min_tail_image(g, parity, lo, hi):
 # A position bound is the tuple (s, rev, end, back, live): the digit string
 # s; the product M(s[n-1]) .. M(s[0]) over its reversal, M(c) = (0, 1, 1, c);
 # its end run (digit, runlen, bounded); the backward tail bounds of its
-# leading run; and the live positions (i, beta, bd, g00, g01, g10, g11), the
-# base s[i] plus the least backward tail image at i being 3 + beta/bd and
+# leading run; and the live positions (i, beta, bd, b, g00, g01, g10, g11),
+# the base s[i] plus the least backward tail image at i being 3 + beta/bd,
+# b = floor(beta 2^F / bd) its fixed-point floor (F = FIXED_BITS) and
 # (g00, g01, g10, g11) the forward matrix M(s[i+1]) .. M(s[n-1]).  A bound
 # is built whole (_bound_build) or grown on the right into both its
 # children at once (_bound_children), never on the left: once the leading
 # run is closed the bases never change, so one retirement rule serves both,
 # and both test each position by _position_verdict.
 
-def _position_verdict(decide, beta, bd, g00, g01, g10, g11, tail):
-    """Threshold.decide at a position of base 3 + beta/bd and forward matrix
-    g, whose least forward tail image is read at tail, the end run's tail
-    bound for the position's parity: 1 refuted, -1 retired, 0 live.
+def _position_verdict(th, beta, bd, b, g00, g01, g10, g11, tail):
+    """The decision of Threshold.decide at a position of base 3 + beta/bd,
+    b = floor(beta 2^F / bd), and forward matrix g, whose least forward
+    tail image is read at tail = (num, den, X), the end run's tail bound
+    x = num/den for the position's parity with X = floor(x 2^F): 1 refuted,
+    -1 retired, 0 live.
 
-    The least forward tail image is (g00 x + g01)/(g10 x + g11) at the tail
-    bound x = lo when the forward part has even length and x = hi when odd
-    (see _min_tail_image), and the cylinder of the forward part has diameter
-    1/(g11 (g10 + g11)).  A position retires when its bound plus that
-    diameter is <= t: growing s only narrows its forward tail inside that
-    cylinder, and leaves its base alone once the leading run is closed
-    (before that, a child is built whole)."""
-    xn, xd = tail
+    The least forward tail image is g(x) = (g00 x + g01)/(g10 x + g11) at the
+    tail bound x = lo when the forward part has even length and x = hi when
+    odd (see _min_tail_image), and the cylinder of the forward part has
+    diameter 1/h, h = g11 (g10 + g11).  A position retires when its bound
+    v = 3 + beta/bd + g(x) plus that diameter is <= t: growing s only
+    narrows its forward tail inside that cylinder, and leaves its base alone
+    once the leading run is closed (before that, a child is built whole).
+
+    A fixed-point screen decides first, in integers scaled by 2^F.  Let
+    G = floor(g(X 2^-F) 2^F), one integer division.  det g = +-1 and
+    g10 x + g11 >= 1 on [0, 1], which holds every tail bound, so |g'| <= 1
+    there; and x - X 2^-F lies in [0, 2^-F), so g(x) 2^F lies in
+    (G - 1, G + 2).  With beta 2^F / bd in [b, b + 1), (v - 3) 2^F lies in
+    the open interval (lo, lo + 4), lo = b + G - 1, and (t - 3) 2^F in
+    [E, E + 1), E = th.fixed.  Hence lo >= E + 1 gives v > t (refuted), and
+    lo + 4 <= E gives v < t; then, with i = floor(2^F / h), so that 2^F / h
+    lies in [i, i + 1), lo + 4 + i + 1 <= E gives v + 1/h < t (retired) and
+    lo + i >= E + 1 gives v + 1/h > t (live).  Only where the enclosure
+    straddles t - 3 or t - 3 - 1/h does decide form the exact products."""
+    xn, xd, X = tail
+    h = g11 * (g10 + g11)
+    e = th.fixed
+    G = ((g00 * X + (g01 << FIXED_BITS)) << FIXED_BITS) // (g10 * X + (g11 << FIXED_BITS))
+    lo = b + G - 1
+    if lo > e:
+        return 1
+    if lo + 4 <= e:
+        i = (1 << FIXED_BITS) // h
+        if lo + i + 5 <= e:
+            return -1
+        if lo + i > e:
+            return 0
     fd = g10 * xn + g11 * xd
-    return decide(beta * fd + (g00 * xn + g01 * xd) * bd, bd * fd, g11 * (g10 + g11))
+    return th.decide(beta * fd + (g00 * xn + g01 * xd) * bd, bd * fd, h)
 
 
 def _bound_build(s, th, tables):
@@ -518,7 +549,7 @@ def _bound_build(s, th, tables):
         return None
     back = tables.bounds(*TailTables.start_run(s))
     end = TailTables.end_run(s)
-    tails = tables.bounds(*end)
+    tails = tables.tails(*end)
     forward = [IDENTITY]
     for c in reversed(s[1:]):
         forward.append(mat_mul((0, 1, 1, int(c)), forward[-1]))
@@ -527,8 +558,9 @@ def _bound_build(s, th, tables):
     live = []
     for i, c in enumerate(s):
         bn, bd = _min_tail_image(rev, i % 2, *back)
-        pos = (i, bn + (int(c) - 3) * bd, bd) + forward[i]
-        verdict = _position_verdict(th.decide, *pos[1:], tails[(len(s) - 1 - i) % 2])
+        beta = bn + (int(c) - 3) * bd
+        pos = (i, beta, bd, (beta << FIXED_BITS) // bd) + forward[i]
+        verdict = _position_verdict(th, *pos[1:], tails[(len(s) - 1 - i) % 2])
         if verdict > 0:
             return None
         if verdict == 0:
@@ -559,25 +591,24 @@ def _bound_children(bound, th, tables):
     kept1, kept2 = [], []
     if tables.run_banned(e_d, e_r):
         kept1, kept2 = (kept1, None) if e_d == "1" else (None, kept2)
-    decide = th.decide
     # the two children are written out, not looped over: this walk is the
     # enumerator's inner loop
-    for i, beta, bd, g00, g01, g10, g11 in live:
+    for i, beta, bd, fb, g00, g01, g10, g11 in live:
         par = (n - i) % 2
         a, b = g00 + g01, g10 + g11  # g M(1) = (g01, a, g11, b)
         if kept1 is not None:
-            verdict = _position_verdict(decide, beta, bd, g01, a, g11, b, tails1[par])
+            verdict = _position_verdict(th, beta, bd, fb, g01, a, g11, b, tails1[par])
             if verdict > 0:
                 kept1 = None
             elif verdict == 0:
-                kept1.append((i, beta, bd, g01, a, g11, b))
+                kept1.append((i, beta, bd, fb, g01, a, g11, b))
         if kept2 is not None:
             a, b = a + g01, b + g11  # g M(2)
-            verdict = _position_verdict(decide, beta, bd, g01, a, g11, b, tails2[par])
+            verdict = _position_verdict(th, beta, bd, fb, g01, a, g11, b, tails2[par])
             if verdict > 0:
                 kept2 = None
             elif verdict == 0:
-                kept2.append((i, beta, bd, g01, a, g11, b))
+                kept2.append((i, beta, bd, fb, g01, a, g11, b))
     # the new last position, of forward matrix the identity, and the
     # reversed product M(c) rev
     bn, bd = _min_tail_image(rev, n % 2, *back)
@@ -585,17 +616,19 @@ def _bound_children(bound, th, tables):
     one = two = None
     if kept1 is not None:
         beta = bn - 2 * bd
-        verdict = _position_verdict(decide, beta, bd, 1, 0, 0, 1, tails1[0])
+        fb = (beta << FIXED_BITS) // bd
+        verdict = _position_verdict(th, beta, bd, fb, 1, 0, 0, 1, tails1[0])
         if verdict <= 0:
             if verdict == 0:
-                kept1.append((n, beta, bd, 1, 0, 0, 1))
+                kept1.append((n, beta, bd, fb, 1, 0, 0, 1))
             one = s + "1", (r10, r11, r00 + r10, r01 + r11), ("1", r1, True), back, kept1
     if kept2 is not None:
         beta = bn - bd
-        verdict = _position_verdict(decide, beta, bd, 1, 0, 0, 1, tails2[0])
+        fb = (beta << FIXED_BITS) // bd
+        verdict = _position_verdict(th, beta, bd, fb, 1, 0, 0, 1, tails2[0])
         if verdict <= 0:
             if verdict == 0:
-                kept2.append((n, beta, bd, 1, 0, 0, 1))
+                kept2.append((n, beta, bd, fb, 1, 0, 0, 1))
             two = (s + "2", (r10, r11, r00 + 2 * r10, r01 + 2 * r11), ("2", r2, True),
                    back, kept2)
     return one, two
@@ -684,7 +717,7 @@ def membership(w, t, max_depth=28, *, bound=None):
     Every context is screened by its position bound, then by the block
     rule; the two right extensions are grown from their parent's bound in
     one pass (_bound_children), a left extension builds its bound whole
-    (_bound_build).  Every test is integer arithmetic (Threshold.decide at
+    (_bound_build).  Every test is integer arithmetic (_position_verdict at
     each live position, Threshold.root_le for each witness, and the block
     rule's cylinder denominator against Threshold.qmax).
 

@@ -39,6 +39,10 @@ GOLDEN = [
      0, "b632a2b281e6d2705eae776300f78ba367757ed92aff4a2e057e63f13e552ded"),
     (("sigma", "--t", "3+6^-3", "--n", "9", "-f", "csv"),
      0, "c534d2c7a92cb0503872f9c389783fa3ae21ab1c491ab8a262e2ac294b59f7f8"),
+    (("sigma", "--t", "2.9", "--n", "12", "-f", "json"),
+     0, "e4015a0007aea06ae7b21f0a78b4bf5bdb7303f78a9691e2769b7d2bd9cc9c08"),
+    (("sigma", "--t", "3-6^-6", "--n", "10", "-f", "csv"),
+     0, "06db938062be0faac54d2715e74d87b048f0d44aa177092fd7902ab1d9d0e8aa"),
     (("eval", "--seq", "per(2211)"),
      0, "9e0a7dc3fda9186d3157bd66ae2c0145508fb0ae7e1a70ec597e720e7944e4a8"),
     (("eval", "--seq", "l:per(1) mid(22) r:per(1)", "--at", "0"),

@@ -454,7 +454,8 @@ def _bound_build_reference(s, th, tables):
     live = []
     for i, c in enumerate(s):
         bn, bd = lang._min_tail_image(rev, i % 2, *back)
-        live.append((i, bn + (int(c) - 3) * bd, bd) + forward[i])
+        beta = bn + (int(c) - 3) * bd
+        live.append((i, beta, bd, (beta << lang.FIXED_BITS) // bd) + forward[i])
         rev = mat_mul((0, 1, 1, int(c)), rev)
     return _bound_check_reference(s, rev, lang.TailTables.end_run(s), back, live, th,
                                   tables)
@@ -468,9 +469,10 @@ def _bound_push_reference(bound, d, th, tables):
         return None
     c = int(d)
     bn, bd = lang._min_tail_image(rev, len(s) % 2, *back)
-    grown = [(i, beta, b_d, g01, g00 + c * g01, g11, g10 + c * g11)
-             for i, beta, b_d, g00, g01, g10, g11 in live]
-    grown.append((len(s), bn + (c - 3) * bd, bd) + IDENTITY)
+    grown = [(i, beta, b_d, fb, g01, g00 + c * g01, g11, g10 + c * g11)
+             for i, beta, b_d, fb, g00, g01, g10, g11 in live]
+    beta = bn + (c - 3) * bd
+    grown.append((len(s), beta, bd, (beta << lang.FIXED_BITS) // bd) + IDENTITY)
     end = (d, e_r + 1 if d == e_d else 1, True)
     return _bound_check_reference(s + d, mat_mul((0, 1, 1, c), rev), end, back, grown,
                                   th, tables)
@@ -481,7 +483,7 @@ def _bound_check_reference(s, rev, end, back, live, th, tables):
     last = len(s) - 1
     kept = []
     for pos in live:
-        i, beta, bd, g00, g01, g10, g11 = pos
+        i, beta, bd, _, g00, g01, g10, g11 = pos
         xn, xd = tails[(last - i) % 2]
         fn, fd = g00 * xn + g01 * xd, g10 * xn + g11 * xd
         verdict = th.decide(beta * fd + fn * bd, bd * fd, g11 * (g10 + g11))
@@ -728,6 +730,76 @@ def test_threshold_decisions_match_fraction_and_quadsurd(text, anchor, plus, den
     a2 = Fraction(12) if a == SQRT12 else a * a
     D = max(math.floor(a2 * h * h) + off, 0)  # next to (a h)^2
     assert th.root_le(D, h) == (QuadSurd(0, 1, h, D) <= t)
+
+
+_F = lang.FIXED_BITS
+
+
+def _excess(th):
+    """t - 3 as a Fraction: exact for a rational t, and for sqrt(12) within
+    2^-(F + 64) below it."""
+    if th.root:
+        return Fraction(math.isqrt(12 << 2 * (_F + 64)), 1 << (_F + 64)) - 3
+    return Fraction(th.excess, th.den)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.sampled_from(_DECISION_THRESHOLDS),
+                 st.builds("3{}2^-{}".format, st.sampled_from("+-"), st.integers(0, 160))),
+       st.tuples(st.sampled_from(_DECISION_THRESHOLDS), st.sampled_from([8, 40, 81]),
+                 st.sampled_from("12"), st.integers(0, 96), st.integers(0, 1)),
+       st.text(alphabet="12", max_size=70), st.sampled_from([None, 0, 1]),
+       st.one_of(st.integers(-4, 4).map(Fraction),
+                 st.fractions(-4, 4, max_denominator=1 << 80)),
+       st.integers(-(1 << 420), 1 << 420), st.integers(1, 1 << 420))
+# at 3.05, (t - 3) 2^F - E = 0.8, and at this tail g(x) 2^F - G = -0.254:
+# v = t with b + G = E + 1, refuted by a screen whose lower margin is narrowed
+@example("3.05", ("2.9", 8, "1", 15, 0), "1", 0, Fraction(0), 0, 1)
+# the same with v + 1/h = t: retired, and live to a narrowed lower margin
+@example("3.05", ("2.9", 8, "1", 15, 0), "1", 1, Fraction(0), 0, 1)
+# at 3, (t - 3) 2^F = E, and at this tail g(x) 2^F - G = 1.003: v just above
+# t with b + G = E - 2, below t to a screen whose upper margin is narrowed
+@example("3", ("2.9", 8, "2", 0, 1), "11", 0, Fraction(1, 512), 0, 1)
+def test_position_screen_matches_the_exact_decision(t, tail, word, near, offset, beta, bd):
+    """_position_verdict, whose fixed-point screen decides first, against
+    Threshold.decide on the exact products, at thresholds near and away
+    from 3, the tail bounds of real tables, forward matrices of 0..70
+    digits, and bases beta/bd drawn at random or placed within 4 units of
+    2^-F of t - 3 - g(x) (near 0) or of t - 3 - g(x) - 1/h (near 1), exact
+    ties included.  The examples sit inside the screen's margins, so
+    narrowing either margin by one unit fails this test."""
+    th = lang.Threshold.of(t)
+    table_t, cap, digit, run, side = tail
+    ends = lang.tail_tables_for(table_t, cap).ends[digit]
+    xn, xd, X = ends[min(run, len(ends) - 1)][side]
+    g = functools.reduce(lambda m, c: mat_mul(m, (0, 1, 1, int(c))), word, IDENTITY)
+    g00, g01, g10, g11 = g
+    h = g11 * (g10 + g11)
+    fn, fd = g00 * xn + g01 * xd, g10 * xn + g11 * xd
+    if near is not None:
+        base = _excess(th) - Fraction(fn, fd) - Fraction(near, h) + offset / (1 << _F)
+        beta, bd = base.numerator, base.denominator
+    got = lang._position_verdict(th, beta, bd, (beta << _F) // bd, *g, (xn, xd, X))
+    assert got == th.decide(beta * fd + fn * bd, bd * fd, h)
+
+
+@pytest.mark.parametrize("t", _DECISION_THRESHOLDS)
+def test_fixed_threshold_is_the_floor_of_its_excess(t):
+    """fixed 2^-F <= t - 3 < (fixed + 1) 2^-F, by Fraction or QuadSurd; below
+    3 that is the floor of a negative number."""
+    th = lang.Threshold.of(t)
+    lo, hi = (3 + Fraction(k, 1 << _F) for k in (th.fixed, th.fixed + 1))
+    if th.root:
+        lo, hi = QuadSurd.from_fraction(lo), QuadSurd.from_fraction(hi)
+    assert lo <= th.value < hi
+
+
+@pytest.mark.parametrize("t", _DECISION_THRESHOLDS)
+@pytest.mark.parametrize("cap", [8, 40, 81])
+def test_fixed_tail_bounds_are_the_floors_of_their_values(t, cap):
+    ends = lang.tail_tables_for(t, cap).ends
+    for num, den, X in itertools.chain.from_iterable(itertools.chain(*ends.values())):
+        assert Fraction(X, 1 << _F) <= Fraction(num, den) < Fraction(X + 1, 1 << _F)
 
 
 def _extremes(bits):

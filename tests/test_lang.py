@@ -230,6 +230,23 @@ def test_sigma_streams_each_survivor_into_membership(monkeypatch):
     assert events.index("membership") < last_push
 
 
+def test_position_screen_leaves_few_exact_decisions(monkeypatch):
+    """Of the 65,817 position verdicts of Sigma(3+6^-204, 34), the
+    fixed-point screen in _position_verdict leaves only a few to
+    Threshold.decide, the exact path: those where its enclosure straddles
+    t - 3 or t - 3 - 1/h."""
+    calls = []
+    decide = lang.Threshold.decide
+
+    def decide_spy(self, *args):
+        calls.append(args)
+        return decide(self, *args)
+
+    monkeypatch.setattr(lang.Threshold, "decide", decide_spy)
+    sigma_enumerate("3+6^-204", 34)
+    assert len(calls) <= 16
+
+
 def test_membership_odd_run_and_slide_refutations():
     assert membership(Word("2" + "1" * 17 + "22"), Fraction(3)).verdict == "out"
     slide = "1" * 12 + "22" + "1" * 10 + "22" + "1" * 8 + "22"
