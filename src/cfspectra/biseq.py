@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import cf_matrix, lambda_between, periodic_fixpoint
+from .cf import cf_matrix, periodic_fixpoint
 from .errors import DomainError
 from .surd import SurdSum
 from .words import Word
@@ -90,17 +90,35 @@ class BiSeq:
             self.left_period, self.left_transient, self.right_transient, self.right_period)
 
 
-def lambda_at(s, i):
-    """lambda at position i: [s_i; s_{i+1}, ...] + [0; s_{i-1}, s_{i-2}, ...].
-
-    The digits from the left transient (or i) to the right transient (or i)
-    lie between the two periodic ends, whose tail values are the fixed points
-    of the periods rotated to the phases where the digits stop."""
+def lambdas(s, lo, hi):
+    """lambda at positions lo..hi-1, in order, from one backward and one
+    forward pass over the digits from the left transient (or lo) to the
+    right one (or hi): lambda_i = x_i + y_i, with y_{i+1} = 1/(s_i + y_i)
+    for y_i = [0; s_{i-1}, s_{i-2}, ...] and x_i = s_i + 1/x_{i+1} for
+    x_i = [s_i; s_{i+1}, ...].  Where the digits stop, y is seeded by the
+    fixed point of the reversed left period and x by 1 over that of the
+    right period, each rotated to its phase.  Each side stays in its
+    period's field Q(sqrt(D)), so a purely periodic sequence gives one
+    QuadSurd per position."""
     nl, nr = len(s.left_transient), len(s.right_transient)
-    lo, hi = min(i, -nl), max(i + 1, nr)
-    right = periodic_fixpoint(_rotate(s.right_period.letters, hi - nr))
-    left = periodic_fixpoint(_rotate(s.left_period.letters[::-1], -lo - nl))
-    return SurdSum.from_value(lambda_between(s.segment(lo, hi), i - lo, left, right))
+    a, b = min(lo, -nl), max(hi, nr)
+    digits = [int(ch) for ch in s.segment(a, b)]
+    y = [periodic_fixpoint(_rotate(s.left_period.letters[::-1], -a - nl))]
+    for d in digits[:hi - 1 - a]:
+        y.append(1 / (d + y[-1]))  # y[k] at position a + k
+    x = 1 / periodic_fixpoint(_rotate(s.right_period.letters, b - nr))
+    out = []
+    for k in range(b - a - 1, lo - a - 1, -1):  # positions b-1 down to lo
+        x = digits[k] + 1 / x
+        if k < hi - a:
+            out.append(x + y[k])
+    return out[::-1]
+
+
+def lambda_at(s, i):
+    """lambda at position i: [s_i; s_{i+1}, ...] + [0; s_{i-1}, s_{i-2}, ...],
+    as a SurdSum, read off lambdas at the one position i."""
+    return SurdSum.from_value(lambdas(s, i, i + 1)[0])
 
 
 def _markov_periodic(period):
@@ -134,14 +152,15 @@ def _markov_periodic(period):
 
 
 def markov_value(s):
-    """sup over i of lambda_at(s, i), exactly.
+    """sup over i of lambda at position i, exactly.
 
-    Positions within two periods of the transients (the window) are scanned
-    one by one.  Beyond the window, each phase of a periodic end has a fixed
-    forward value, and its backward values form a Moebius orbit whose first
-    two terms already lie inside the window: the orbit is monotone for an
-    even period, and for an odd one its two parity subsequences approach the
-    limit monotonically from opposite sides.  So the far positions add only
+    Positions within two periods of the transients (the window) are read
+    off one lambdas sweep and compared as SurdSums.  Beyond the window, each
+    phase of a periodic end has a fixed forward value, and its backward
+    values form a Moebius orbit whose first two terms already lie inside the
+    window: the orbit is monotone for an even period, and for an odd one its
+    two parity subsequences approach the limit monotonically from opposite
+    sides.  So the far positions add only
     the phase limits, whose largest is the periodic Markov value of that
     end's period, never attained.  Returns (value, attained, index): attained
     is True when the sup is achieved at a finite position (index reports the
@@ -153,7 +172,8 @@ def markov_value(s):
         return SurdSum({disc: Fraction(1, c)}), True, i
     lo = -(len(s.left_transient) + 2 * len(s.left_period) + 2)
     hi = len(s.right_transient) + 2 * len(s.right_period) + 2
-    value, index = max(((lambda_at(s, i), i) for i in range(lo, hi)), key=lambda vi: vi[0])
+    value, index = max(zip(map(SurdSum.from_value, lambdas(s, lo, hi)), range(lo, hi)),
+                       key=lambda vi: vi[0])
     far = max(SurdSum({disc: Fraction(1, c)})
               for disc, c, _ in map(_markov_periodic, (s.right_period, s.left_period)))
     if far > value:

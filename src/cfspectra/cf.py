@@ -7,8 +7,10 @@ Everything runs through the 2x2 integer matrix of a digit word w = d1...dk,
 for which [0; w, tail] = (g00*x + g01) / (g10*x + g11) where x = [0; tail].
 In particular [0; w] = g01/g11 and |I(w)| = 1 / (g11 * (g10 + g11)).
 Every exact value of a word continued by a known tail is that Moebius image,
-tail_image, every lambda value between two known tails is lambda_between, and
-every extremum over a range of tails is extremal_image.
+tail_image, lambda at one position of a plain digit string between two known
+tails is lambda_between (the cut closings of cuts read it; lambda along an
+eventually periodic sequence is biseq.lambdas), and every extremum over a
+range of tails is extremal_image.
 """
 
 from __future__ import annotations

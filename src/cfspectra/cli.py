@@ -81,14 +81,14 @@ def cmd_eval(args):
     seq = parse_sequence(args.seq)
     if args.at is not None:
         val = lambda_at(seq, args.at)
+        if args.verify and (lambda_at(seq.shift(3), args.at - 3) - val).sign() != 0:
+            raise errors.SpectraError("verification failed: shift invariance")
         payload = {"op": "lambda", "index": args.at, "value": str(val),
                    "decimal": val.decimal(10)}
         return 0, payload, ["lambda at %d: %s" % (args.at, _fmt_exact(val))]
     val, attained, idx = markov_value(seq)
-    if args.verify:
-        shift_val, _, _ = markov_value(seq.shift(3))
-        if (shift_val - val).sign() != 0:
-            raise errors.SpectraError("verification failed: shift invariance")
+    if args.verify and (markov_value(seq.shift(3))[0] - val).sign() != 0:
+        raise errors.SpectraError("verification failed: shift invariance")
     payload = {"op": "markov", "value": str(val),
                "decimal": val.decimal(10),
                "attained": attained, "index": idx}
@@ -337,7 +337,8 @@ def build_parser():
     q = add("connect", help="Farey connecting sequences")
     q.add_argument("--kind", required=True, choices=CONNECT_KINDS)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--alphabet", default=None, help='"alpha,beta" letters')
+    q.add_argument("--alphabet", default=None,
+                   help='"alpha,beta" letters, for the alphabet kinds only')
     q.set_defaults(fn=cmd_connect)
 
     q = add("dim", help="Moran dimension bracket")

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .alphabets import ROOT, children, farey_words
-from .biseq import BiSeq, _markov_periodic, markov_value
-from .cf import IDENTITY, cf_matrix, floor_exp, floor_log, mat_mul, periodic_fixpoint
+from .biseq import BiSeq, _markov_periodic, lambdas, markov_value
+from .cf import IDENTITY, cf_matrix, floor_exp, floor_log, mat_mul
 from .errors import DomainError
 from .surd import QuadSurd
 from .words import Word
@@ -88,8 +88,10 @@ class Threshold:
         (refuted), -1 when v + 1/h <= t (retired), else 0 (live).
 
         A rational t compares x/den with e/t_den, e = excess, and
-        y/(den h) = v + 1/h - 3, y = x h + den, likewise (_product_gt).
-        sqrt(12) compares squares."""
+        y/(den h) = v + 1/h - 3, y = x h + den, likewise, by cross products.
+        sqrt(12) compares squares.  _position_verdict screens each position
+        with fixed first, so only the few positions whose enclosure
+        straddles t or t - 1/h reach this exact path."""
         if self.root:
             num = x + 3 * den
             if num > 0 and num * num * self.den > self.num * den * den:
@@ -97,30 +99,15 @@ class Threshold:
             a, b = num * h + den, den * h
             return -1 if a <= 0 or a * a * self.den <= self.num * b * b else 0
         e = self.excess
-        if _product_gt(x, self.den, e, den):
+        if x * self.den > e * den:
             return 1
-        return 0 if _product_gt(x * h + den, self.den, e, den * h) else -1
+        return 0 if (x * h + den) * self.den > e * den * h else -1
 
     def root_le(self, D, c):
         """sqrt(D)/c <= t, exactly (D >= 0, c > 0)."""
         if self.root:
             return D * self.den <= self.num * c * c
         return self.num >= 0 and D * self.den * self.den <= self.num * self.num * c * c
-
-
-def _product_gt(a, b, c, d):
-    """a b > c d, exactly, for b, d > 0.  Signs decide first; then bit
-    lengths, since a product of numbers of la and lb bits has la + lb - 1 or
-    la + lb bits: sums that differ by 2 or more order the products, and only
-    inside that band are they formed."""
-    if a <= 0 <= c:
-        return False
-    if c <= 0 <= a:
-        return True
-    if a < 0:  # both negative: a b > c d iff (-c) d > (-a) b
-        a, b, c, d = -c, d, -a, b
-    k = a.bit_length() + b.bit_length() - c.bit_length() - d.bit_length()
-    return k >= 2 or k > -2 and a * b > c * d
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -343,30 +330,6 @@ def factor_witness_map(n):
 
 # ------------------------------------------------------------- certificates
 
-def _phase_lambdas(period):
-    """lambda at each phase i of per(period), as QuadSurds in phase order,
-    in O(k) field steps for a period p_0 .. p_{k-1} of k digits.
-
-    lambda_i = s_i + y_i, with y_i = [0; p_{i-1}, p_{i-2}, ...] read by the
-    backward recurrence y_{i+1} = 1/(p_i + y_i) from y_0, the fixed point of
-    the reversed period, and s_i = [p_i; p_{i+1}, ...] by the forward one
-    s_i = p_i + 1/s_{i+1} from s_k = 1/x, x the fixed point of the period.
-    Both fixed points are roots of quadratics of discriminant
-    tr(G)^2 - 4 det(G), G the period's cf_matrix (the reversed period's
-    matrix is its transpose), so every value stays in the one field
-    Q(sqrt(D)) and each lambda_i is one QuadSurd."""
-    p = [int(c) for c in str(period)]
-    y = [periodic_fixpoint(str(period)[::-1])]  # y_0 .. y_{k-1}
-    for d in p[:-1]:
-        y.append(1 / (d + y[-1]))
-    s = 1 / periodic_fixpoint(period)
-    out = []
-    for d, y_i in zip(reversed(p), reversed(y)):  # i = k-1 .. 0
-        s = d + 1 / s
-        out.append(s + y_i)
-    return out[::-1]
-
-
 @dataclass
 class MembershipCertificate:
     word: Word
@@ -378,15 +341,17 @@ class MembershipCertificate:
     def verify(self):
         """Re-check the certificate through exact quadratic-surd arithmetic,
         not the integer kernel that decided it: a periodic witness has
-        lambda <= t at each phase of one period, by _phase_lambdas; any other
-        witness has its Markov value <= t, by markov_value."""
+        lambda <= t at each phase of one period, read off one lambdas sweep
+        over the period; any other witness has its Markov value <= t, by
+        markov_value."""
         if self.verdict != "in":
             return True
         seq = self.witness
         if seq.segment(0, len(self.word)) != str(self.word):
             return False
         if seq.is_periodic():
-            return all(lam <= self.threshold for lam in _phase_lambdas(seq.right_period))
+            return all(lam <= self.threshold
+                       for lam in lambdas(seq, 0, len(seq.right_period)))
         mv, _, _ = markov_value(seq)
         return mv <= self.threshold  # any exact threshold
 
@@ -862,12 +827,16 @@ def connecting_sequence(kind, n, alphabet=None):
 
     'ab':  per(a)  kappa_1 ... kappa_|F_n|  per(b), the kappa being the Farey
     words of order n (endpoints included); 'ba' is its transpose.  The
-    alphabet kinds truncate the chain at the alphabet's power word.
+    alphabet kinds truncate the chain at the alphabet's power word, and only
+    they take an alphabet: given to 'ab' or 'ba', it raises DomainError.
     """
     if kind not in CONNECT_KINDS:
         raise DomainError("unknown connecting kind %r" % kind)
-    if kind in ("a-to-alphabet", "alphabet-to-b") and alphabet is None:
-        raise DomainError("alphabet kinds need an alphabet")
+    if kind in ("a-to-alphabet", "alphabet-to-b"):
+        if alphabet is None:
+            raise DomainError("alphabet kinds need an alphabet")
+    elif alphabet is not None:
+        raise DomainError("kind %r takes no alphabet" % kind)
     if n < 1:
         raise DomainError("n must be >= 1")
     if kind == "ba":

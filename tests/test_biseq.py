@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
+from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, lambdas, markov_value
 from cfspectra import biseq
-from cfspectra.cf import periodic_fixpoint, tail_image
+from cfspectra.cf import lambda_between, periodic_fixpoint, tail_image
 from cfspectra.surd import QuadSurd, SurdSum
 from cfspectra.words import Word
 
@@ -219,12 +220,19 @@ def _lambda_reference(s, i):
 
 
 def test_lambda_and_markov_match_the_transpose_route(monkeypatch):
-    """lambda_at reads every value between the two periodic ends through
-    cf.lambda_between; the former route read the backward value through a
-    transposed BiSeq.  The same markov_value (repr, attained, index) on 400
-    seeded sequences, and the same lambda_at repr at three positions of each,
-    drawn from the window and past it on both sides."""
+    """lambda_at and markov_value read every lambda off the lambdas sweep;
+    the former route read the backward value through a transposed BiSeq.
+    The same markov_value (repr, attained, index) on 400 seeded sequences,
+    with the sweep replaced by that route in the reference run, and the same
+    lambda_at repr at three positions of each, drawn from the window and
+    past it on both sides.  The reference run must read the route it
+    replaces: markov_value reads the sweep once per non-periodic sequence."""
     rng = random.Random(17)
+    swept = []
+
+    def reference(s, lo, hi):
+        swept.append(s)
+        return [_lambda_reference(s, i) for i in range(lo, hi)]
 
     def digits(lo, hi):
         return "".join(rng.choice("12") for _ in range(rng.randrange(lo, hi)))
@@ -233,10 +241,66 @@ def test_lambda_and_markov_match_the_transpose_route(monkeypatch):
         s = BiSeq.make(digits(1, 6), digits(0, 6), digits(0, 6), digits(1, 6))
         got = markov_value(s)
         with monkeypatch.context() as m:
-            m.setattr(biseq, "lambda_at", _lambda_reference)
+            m.setattr(biseq, "lambdas", reference)
             ref = markov_value(s)
+        assert swept == ([] if s.is_periodic() else [s])
+        swept.clear()
         assert (repr(got[0]),) + got[1:] == (repr(ref[0]),) + ref[1:], s
         reach = 3 * (len(s.left_period) + len(s.right_period)) + 6
         for i in rng.sample(range(-len(s.left_transient) - reach,
                                   len(s.right_transient) + reach), 3):
             assert repr(lambda_at(s, i)) == repr(_lambda_reference(s, i)), (s, i)
+
+
+def _lambda_between_reference(s, i):
+    """The former lambda_at, before the sweep: cf.lambda_between over the
+    digits from the left transient (or i) to the right transient (or i),
+    between the periodic tail values rotated to the phases where the digits
+    stop."""
+    nl, nr = len(s.left_transient), len(s.right_transient)
+    lo, hi = min(i, -nl), max(i + 1, nr)
+    p, q = s.right_period.letters, s.left_period.letters[::-1]
+    k, j = (hi - nr) % len(p), (-lo - nl) % len(q)
+    right = periodic_fixpoint(p[k:] + p[:k])
+    left = periodic_fixpoint(q[j:] + q[:j])
+    return lambda_between(s.segment(lo, hi), i - lo, left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_biseqs, st.integers(-40, 40), st.integers(0, 12))
+# windows inside the transients, past them on both sides, and single positions
+@example(BiSeq.make("12", "2121", "1122", "221"), -3, 6)
+@example(BiSeq.make("12", "2121", "1122", "221"), 37, 5)
+@example(BiSeq.make("12", "2121", "1122", "221"), -45, 4)
+@example(BiSeq.make("12", "2121", "1122", "221"), -6, 12)
+@example(BiSeq.make("211", "", "", "2"), 0, 1)
+@example(BiSeq.make("211", "", "", "2"), -1, 1)
+@example(BiSeq.periodic("2211"), 0, 4)
+@example(BiSeq.periodic("2211"), -9, 0)
+def test_lambdas_match_lambda_between_position_by_position(s, lo, width):
+    """lambdas(s, lo, hi) is, at each position, by repr, the former route's
+    value: one QuadSurd when both ends lie in one field, else the SurdSum of
+    the two."""
+    got = lambdas(s, lo, lo + width)
+    assert len(got) == width
+    for k, value in enumerate(got):
+        assert repr(value) == repr(_lambda_between_reference(s, lo + k)), (s, lo + k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_biseqs)
+def test_markov_value_builds_two_periodic_fixpoints(s):
+    """markov_value of a non-periodic sequence reads both periodic ends once,
+    for the seeds of one sweep; a scan that rebuilt them per position made
+    two calls for every window position."""
+    calls = []
+    real = biseq.periodic_fixpoint
+
+    def spy(period):
+        calls.append(period)
+        return real(period)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(biseq, "periodic_fixpoint", spy)
+        markov_value(s)
+    assert len(calls) == (0 if s.is_periodic() else 2)

@@ -172,6 +172,34 @@ def test_sigma_verify(monkeypatch, capsys):
     assert out == "" and err.startswith("error: certificate failed for ")
 
 
+def test_eval_at_verify_rechecks_lambda_by_shift(monkeypatch, capsys):
+    """eval --at N --verify reads lambda again at N - 3 of the sequence
+    shifted by 3 and changes no output byte; a lambda_at that disagrees with
+    itself under the shift is an error, exit 1."""
+    from cfspectra.biseq import lambda_at
+
+    argv = ["eval", "--seq", "l:per(12) mid(2) r:per(1)", "--at", "1", "--verify"]
+    assert cli.main(argv[:-1]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == plain
+    monkeypatch.setattr(cli, "lambda_at", lambda seq, i: lambda_at(seq, i) + i)
+    assert cli.main(argv[:-1]) == 0
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: verification failed: shift invariance\n"
+
+
+@pytest.mark.parametrize("kind", ["ab", "ba"])
+def test_connect_refuses_an_alphabet_it_would_ignore(kind, capsys):
+    """connect --kind ab/ba reads no alphabet, so --alphabet there is a
+    domain error (exit 1), not a flag silently dropped."""
+    assert cli.main(["connect", "--kind", kind, "--n", "3", "--alphabet", "ab,b"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: kind %r takes no alphabet\n" % kind
+
+
 def test_timing_is_kept_out_of_the_output(capsys):
     argv = ["interval", "--word", "2211"]
     assert cli.main(["-f", "json", "--timing", *argv]) == 0

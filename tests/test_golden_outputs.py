@@ -92,6 +92,13 @@ GOLDEN = [
      0, "179d78b274b8c8d1afa243c185f095f78fa3ee74effce1bf8e04a2523aaa8f6b"),
     (("eval", "--seq", "l:per(12) mid(2) r:per(1)", "--at", "1"),
      0, "05b01102bb2b4b6a60424b0cb2b9de1d61b53fb1ae56ff3c5145a558dbf7652f"),
+    (("eval", "--seq", "l:per(12) mid(2) r:per(1)", "--at", "1", "--verify"),
+     0, "05b01102bb2b4b6a60424b0cb2b9de1d61b53fb1ae56ff3c5145a558dbf7652f"),
+    # the value is attained at index 10, inside the right period, with two radicals
+    (("eval", "--seq", "l:per(2211) mid(1121) r:per(12122)", "-f", "json"),
+     0, "34cc66fdd28ed03b7db081b003fb3c874cf051b85952e579832b2fb5fb1ace18"),
+    (("eval", "--seq", "l:per(2211) mid(1121) r:per(12122)", "--at", "-9", "-f", "json"),
+     0, "48ec409f8a912d0abedf9fc37227a0704082da313b3dfa601b1f47c3e1b0202b"),
     (("farey", "--n", "6"),
      0, "4b75d1e021057e89e08e45743ce7b3d42eca6d68db8d6bfed57aed79ffbca6aa"),
     (("alphabets", "--depth", "3"),

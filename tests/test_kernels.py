@@ -807,28 +807,6 @@ def _extremes(bits):
     return 1 << (bits - 1), (1 << bits) - 1
 
 
-def test_product_comparison_at_the_edges_of_the_bit_band():
-    """_product_gt orders a b and c d by bit-length sums that differ by 2 or
-    more.  At differences -2..2, with each factor the least or the greatest
-    of its bit length and a, c of either sign (or 0), it agrees with the
-    products; at differences 1 and -1 both orders occur, so deciding there
-    by bit lengths fails this test."""
-    seen = set()
-    for la, lb, lc in itertools.product((1, 2, 7, 64, 530), repeat=3):
-        for k in range(-2, 3):
-            ld = la + lb - lc - k
-            if ld < 1:
-                continue
-            for a, b, c, d in itertools.product(*map(_extremes, (la, lb, lc, ld))):
-                for a_, c_ in ((a, c), (-a, c), (a, -c), (-a, -c), (0, c), (a, 0), (0, -c)):
-                    want = a_ * b > c_ * d
-                    assert lang._product_gt(a_, b, c_, d) == want, (a_, b, c_, d)
-                    if a_ > 0 and c_ > 0:
-                        seen.add((k, want))
-    assert {(1, False), (1, True), (-1, False), (-1, True)} <= seen
-    assert (2, False) not in seen and (-2, True) not in seen
-
-
 @pytest.mark.parametrize("t", _DECISION_THRESHOLDS[:-1] + [
     3 + Fraction(255, 1 << 20), 3 - Fraction(255, 1 << 20)], ids=str)
 def test_decide_at_the_edges_of_the_bit_band(t):

@@ -152,6 +152,31 @@ def test_verify_does_not_reuse_the_deciding_kernel(monkeypatch):
         lang.period_markov.cache_clear()
 
 
+def test_verify_reads_one_sweep_per_periodic_witness(monkeypatch):
+    """verify() rechecks a periodic witness by lambda at each phase of one
+    period, read off one biseq.lambdas sweep over it; another witness goes
+    through markov_value instead."""
+    calls = []
+    real = lang.lambdas
+
+    def spy(seq, lo, hi):
+        calls.append((seq, lo, hi))
+        return real(seq, lo, hi)
+
+    monkeypatch.setattr(lang, "lambdas", spy)
+    certs = list(sigma_enumerate(Fraction(3), 6).words.values())
+    certs.append(membership(Word("2211"), Fraction(3)))
+    for cert in certs:
+        assert cert.witness.is_periodic()
+        calls.clear()
+        assert cert.verify()
+        assert calls == [(cert.witness, 0, len(cert.witness.right_period))]
+    two_sided = lang.MembershipCertificate(Word("22"), Fraction(3), "in",
+                                           BiSeq.make("1", "", "22", "1"))
+    calls.clear()
+    assert two_sided.verify() and calls == []
+
+
 def test_family_check_refuses_above_the_threshold():
     # m(per(2211)) = sqrt(221)/5 > 2.9: 2211's family entry gives no witness
     th = Threshold.of(Fraction(29, 10))
@@ -395,3 +420,8 @@ def test_connecting_sequences():
     v1, _, _ = markov_value(s1)
     v2, _, _ = markov_value(s2)
     assert v1 > Fraction(3) and v2 > Fraction(3)
+    # only the alphabet kinds read an alphabet, and they need one
+    for kind, arg in (("ab", node), ("ba", node), ("a-to-alphabet", None),
+                      ("alphabet-to-b", None)):
+        with pytest.raises(DomainError):
+            connecting_sequence(kind, 3, arg)
