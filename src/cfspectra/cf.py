@@ -7,10 +7,9 @@ Everything runs through the 2x2 integer matrix of a digit word w = d1...dk,
 for which [0; w, tail] = (g00*x + g01) / (g10*x + g11) where x = [0; tail].
 In particular [0; w] = g01/g11 and |I(w)| = 1 / (g11 * (g10 + g11)).
 Every exact value of a word continued by a known tail is that Moebius image,
-tail_image, lambda at one position of a plain digit string between two known
-tails is lambda_between (the cut closings of cuts read it; lambda along an
-eventually periodic sequence is biseq.lambdas), and every extremum over a
-range of tails is extremal_image.
+tail_image, every extremum over a hull of tails is extremal_image, and the
+range of lambda at one position of a digit string over two hulls of tails is
+lambda_range (lambda along an eventually periodic sequence is biseq.lambdas).
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ IDENTITY = (1, 0, 0, 1)
 # min is [0;(21)^inf]
 TAIL_MAX = QuadSurd(-1, 1, 1, 3)
 TAIL_MIN = QuadSurd(-1, 1, 2, 3)
+FREE_TAILS = (TAIL_MAX, TAIL_MIN)  # the hull of every tail, as (hi, lo)
 
 
 def mat_mul(a, b):
@@ -202,16 +202,19 @@ def digit_at(w, i):
     return int(ch)
 
 
-def lambda_between(w, i, left, right):
-    """lambda at position i of the digit string w between two tails of known
-    value: w continued on the right by a tail X with [0; X] = right, and on
-    the left, read leftward, by one with value left.  That is
-    w_i + [0; w_{i+1}, ..., X] + [0; w_{i-1}, ..., w_0, X'], exactly."""
-    return digit_at(w, i) + tail_image(w[i + 1:], right) + tail_image(w[:i][::-1], left)
+def lambda_range(w, i, left, right):
+    """(min, max) of w_i + [0; w_{i+1}, ..., X] + [0; w_{i-1}, ..., w_0, X']
+    over the tails X in the hull right and X', read leftward, in the hull
+    left, exactly.  A hull is (hi, lo), attained tail values in the order of
+    extremal_image; (x, x) is the one tail of value x."""
+    d = digit_at(w, i)
+    fmin, fmax = extremal_image(w[i + 1:], *right)
+    bmin, bmax = extremal_image(w[:i][::-1], *left)
+    return d + fmin + bmin, d + fmax + bmax
 
 
 def extremal_tail(prefix):
     """(min, max) of [0; prefix, t...] over all infinite {1,2}-tails t: the
     free-tail case of extremal_image, whose bounds [0;(21)^inf] and
     [0;(12)^inf] are attained by the alternating periodic tails."""
-    return extremal_image(prefix, TAIL_MAX, TAIL_MIN)
+    return extremal_image(prefix, *FREE_TAILS)

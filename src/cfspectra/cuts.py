@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .biseq import markov_value
-from .cf import TAIL_MAX, TAIL_MIN, digit_at, extremal_tail, lambda_between
+from .cf import FREE_TAILS, TAIL_MAX, TAIL_MIN, lambda_range
 from .errors import DomainError, PreconditionUnverified, TemplateMismatch
 from .lang import Threshold, membership, parse_threshold
 from .surd import SurdSum
@@ -47,11 +47,7 @@ def position_bounds(word, i):
     so they differ from these exact free-tail extrema, which `cfspectra cuts`
     prints.  Kept apart, this route can check lang's refutations
     independently."""
-    s = str(word)
-    d = digit_at(s, i)
-    fmin, fmax = extremal_tail(s[i + 1:])
-    bmin, bmax = extremal_tail(s[:i][::-1])
-    return d + fmin + bmin, d + fmax + bmax
+    return lambda_range(str(word), i, FREE_TAILS, FREE_TAILS)
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,8 @@ def classify_cut(cut):
         # [0;(12)^inf] = TAIL_MAX on the right, per(21) the other way round
         for left in (TAIL_MIN, TAIL_MAX):
             for right in (TAIL_MAX, TAIL_MIN):
-                if (lambda_between(w, pl, left, right) <= 3
-                        and lambda_between(w, pr, left, right) <= 3):
+                if all(lambda_range(w, p, (left, left), (right, right))[0] <= 3
+                       for p in (pl, pr)):
                     return CutClass("mixed", *sups, depth=len(lext) + len(rext))
         if len(lext) + len(rext) >= CUT_DEPTH:
             capped = True

@@ -11,7 +11,7 @@ from mpmath.libmp import (fone, from_rational, fzero, mpf_add, mpf_cmp, mpf_exp,
                           round_ceiling, round_floor)
 
 from . import lang
-from .cf import IDENTITY, cf_matrix, extremal_image, log_bounds, mat_mul, periodic_fixpoint
+from .cf import IDENTITY, cf_matrix, lambda_range, log_bounds, mat_mul, periodic_fixpoint
 from .errors import DomainError, EmptyLanguage
 from .surd import refine
 
@@ -290,20 +290,9 @@ def certify_blocks(blocks, t):
     if isinstance(t, str):
         t = lang.parse_threshold(t)
     blocks, m = _block_set(blocks, "certify_blocks")
-    sup_f, inf_f = _tail_extremes(blocks)
-    rev_blocks = [b[::-1] for b in blocks]
-    sup_b, inf_b = _tail_extremes(rev_blocks)
-
-    for b0 in blocks:
-        for p in range(m):
-            # forward: rest of this block, then any block tail; backward: the
-            # reversed head of this block, then any reversed-block tail
-            _, fwd = extremal_image(b0[p + 1:], sup_f, inf_f)
-            _, bwd = extremal_image(b0[:p][::-1], sup_b, inf_b)
-            lam = fwd + bwd + int(b0[p])
-            if lam > t:
-                return False
-    return True
+    # a left tail, read leftward, is a concatenation of reversed blocks
+    fwd, bwd = _tail_extremes(blocks), _tail_extremes([b[::-1] for b in blocks])
+    return all(lambda_range(b, p, bwd, fwd)[1] <= t for b in blocks for p in range(m))
 
 
 def lambert_inv(y):

@@ -624,6 +624,16 @@ def _block_pattern(A, B):
     return re.compile("(?=(%s%s(?:%s|%s)*?%s%s))" % (A, A, A, B, B, B))
 
 
+@functools.lru_cache(maxsize=64)
+def _capped_length(qmax):
+    """The least L such that every {1,2}-word of L + 1 digits has q > qmax:
+    G's entries are continuants, so q(w) >= q(1^|w|) = F(|w|+1) F(|w|+2)."""
+    n, a, b = 0, 1, 2  # F(n+2), F(n+3), the Fibonacci numbers
+    while a * b <= qmax:
+        n, a, b = n + 1, b, a + b
+    return n
+
+
 def _aabb_factor(s, qmax):
     """A factor of s or of its reversal matching the digit image of
     alpha^2 M beta^2 over an ordered alphabet (M over {alpha, beta}), whose
@@ -634,9 +644,11 @@ def _aabb_factor(s, qmax):
     r = floor(ln q), so this is a certified refutation at thresholds
     t <= 3 + e^-r, and r <= rmax exactly when q <= floor(e^(rmax+1)).
     """
-    # the cap is bucketed so that nearby lengths share one cached list
+    # a factor A A M B B has 2 |A B| digits or more; the pair list is
+    # bucketed so that nearby lengths share one cached list
+    longest = len(s) if qmax is None else min(len(s), _capped_length(qmax))
     for A, B in _alphabet_digit_pairs((len(s) + 15) // 16 * 16):
-        if 2 * (len(A) + len(B)) > len(s):
+        if 2 * (len(A) + len(B)) > longest:
             break
         pattern = _block_pattern(A, B)
         for target in (s, s[::-1]):
@@ -715,13 +727,12 @@ def membership(w, t, max_depth=28, *, bound=None):
     cert = _family_witness(s, th)
     if cert is not None:
         return cert
-    qmax = th.qmax
     t = th.value
 
     def screened(bound):
         """The context's position bound, or None when it is None or the
         forbidden-block rule refutes the context."""
-        if bound is None or (qmax != 0 and _aabb_factor(bound[0], qmax) is not None):
+        if bound is None or _aabb_factor(bound[0], th.qmax) is not None:
             return None
         return bound
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, lambdas, markov_value
 from cfspectra import biseq
-from cfspectra.cf import lambda_between, periodic_fixpoint, tail_image
+from cfspectra.cf import lambda_range, periodic_fixpoint, tail_image
 from cfspectra.surd import QuadSurd, SurdSum
 from cfspectra.words import Word
 
@@ -253,17 +253,17 @@ def test_lambda_and_markov_match_the_transpose_route(monkeypatch):
 
 
 def _lambda_between_reference(s, i):
-    """The former lambda_at, before the sweep: cf.lambda_between over the
-    digits from the left transient (or i) to the right transient (or i),
-    between the periodic tail values rotated to the phases where the digits
-    stop."""
+    """The former lambda_at, before the sweep: lambda over the digits from
+    the left transient (or i) to the right transient (or i), between the
+    periodic tail values rotated to the phases where the digits stop, read
+    by cf.lambda_range with the point hull of each tail."""
     nl, nr = len(s.left_transient), len(s.right_transient)
     lo, hi = min(i, -nl), max(i + 1, nr)
     p, q = s.right_period.letters, s.left_period.letters[::-1]
     k, j = (hi - nr) % len(p), (-lo - nl) % len(q)
     right = periodic_fixpoint(p[k:] + p[:k])
     left = periodic_fixpoint(q[j:] + q[:j])
-    return lambda_between(s.segment(lo, hi), i - lo, left, right)
+    return lambda_range(s.segment(lo, hi), i - lo, (left, left), (right, right))[0]
 
 
 @settings(max_examples=300, deadline=None)

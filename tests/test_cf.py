@@ -5,9 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cfspectra.cf import (TAIL_MAX, TAIL_MIN, cylinder, cylinder_length, eval_cf,
+from cfspectra.cf import (FREE_TAILS, TAIL_MAX, TAIL_MIN, cylinder, cylinder_length, eval_cf,
                           extremal_image, extremal_tail, floor_exp, floor_log,
-                          lambda_between, periodic_fixpoint, r_exponent, tail_image)
+                          lambda_range, periodic_fixpoint, r_exponent, tail_image)
 from cfspectra.dimension import _tail_extremes
 from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd
@@ -107,10 +107,10 @@ def test_floor_exp_matches_a_wide_floor():
     lambda: r_exponent("x"),
     lambda: tail_image("3", TAIL_MAX),
     lambda: extremal_tail("3"),
-    lambda: lambda_between("131", 1, TAIL_MIN, TAIL_MAX),
-    lambda: lambda_between("3", 0, TAIL_MIN, TAIL_MAX),
+    lambda: lambda_range("131", 1, FREE_TAILS, FREE_TAILS),
+    lambda: lambda_range("3", 0, FREE_TAILS, FREE_TAILS),
 ], ids=["eval_cf", "cylinder", "cylinder_length", "periodic_fixpoint", "r_exponent",
-        "tail_image", "extremal_tail", "lambda_between", "lambda_between_digit"])
+        "tail_image", "extremal_tail", "lambda_range", "lambda_range_digit"])
 def test_a_digit_other_than_1_or_2_is_refused(call):
     with pytest.raises(DomainError, match="digits must be 1 or 2"):
         call()
@@ -199,3 +199,49 @@ def test_extremal_tail_dominates_random_continuations():
             period = "".join(rng.choice(blocks) for _ in range(rng.randrange(1, 4)))
             v = tail_image(prefix + head, periodic_fixpoint(period))
             assert lo <= v <= hi
+
+
+_EVERY_PAIR = ["11", "12", "21", "22"]  # concatenations: every {1,2}-tail
+
+
+def _hull_blocks(rng):
+    """Random blocks of one length, or the blocks of the free hull."""
+    if rng.random() < 0.25:
+        return _EVERY_PAIR
+    m = rng.randrange(1, 4)
+    return [random_word(rng, m) for _ in range(rng.randrange(1, 4))]
+
+
+def test_lambda_range_bounds_every_block_continuation():
+    """Over block continuations (blocks on the right, reversed blocks read
+    leftward on the left), lambda at a position of w, read by tail_image,
+    lies in lambda_range over the _tail_extremes hulls, and the continuations
+    by the pair fixed points attain both ends (one block makes a point hull,
+    both ends one value)."""
+    assert _tail_extremes(_EVERY_PAIR) == FREE_TAILS
+    rng = random.Random(30)
+    for _ in range(40):
+        w = random_word(rng, rng.randrange(1, 9))
+        i = rng.randrange(len(w))
+        rblocks, lblocks = _hull_blocks(rng), _hull_blocks(rng)
+        right = _tail_extremes(rblocks)
+        left = _tail_extremes([b[::-1] for b in lblocks])
+        lo, hi = lambda_range(w, i, left, right)
+        d, fwd, bwd = int(w[i]), w[i + 1:], w[:i][::-1]
+
+        def lam(rtail, ltail):
+            return d + tail_image(fwd, rtail) + tail_image(bwd, ltail)
+
+        for _ in range(6):
+            rhead = "".join(rng.choice(rblocks) for _ in range(rng.randrange(4)))
+            rper = "".join(rng.choice(rblocks) for _ in range(rng.randrange(1, 4)))
+            lhead = "".join(rng.choice(lblocks)[::-1] for _ in range(rng.randrange(4)))
+            lper = "".join(rng.choice(lblocks)[::-1] for _ in range(rng.randrange(1, 4)))
+            v = lam(tail_image(rhead, periodic_fixpoint(rper)),
+                    tail_image(lhead, periodic_fixpoint(lper)))
+            assert lo <= v <= hi, (w, i, rblocks, lblocks)
+        rpairs = [periodic_fixpoint(a + b) for a in rblocks for b in rblocks]
+        lpairs = [periodic_fixpoint(a[::-1] + b[::-1]) for a in lblocks for b in lblocks]
+        values = [lam(r, l) for r in rpairs for l in lpairs]
+        assert min(values) == lo and max(values) == hi, (w, i, rblocks, lblocks)
+

@@ -6,12 +6,12 @@ import mpmath
 import pytest
 
 from cfspectra import lang
-from cfspectra.cf import periodic_fixpoint, tail_image
+from cfspectra.cf import extremal_image, periodic_fixpoint, tail_image
 from cfspectra.dimension import (C0, _tail_extremes, certify_blocks, d_asymptotic,
                                  d_upper, lambert_inv, moran_bracket, thm2_bound)
 from cfspectra.errors import DomainError, EmptyLanguage
 from cfspectra.lang import parse_threshold, sigma_enumerate
-from cfspectra.surd import QuadSurd
+from cfspectra.surd import QuadSurd, SurdSum
 
 
 def test_single_block_degenerate():
@@ -80,6 +80,45 @@ def test_certify_blocks_examples():
     s8 = QuadSurd(0, 1, 1, 8)
     assert certify_blocks(["2"], s8)
     assert not certify_blocks(["2"], s8 - Fraction(1, 10 ** 9))
+
+
+def _certify_blocks_loop(blocks, t):
+    """certify_blocks as a loop over the positions, each one's sup from
+    extremal_image over the forward and backward block-tail extremes."""
+    blocks = sorted(set(blocks))
+    sup_f, inf_f = _tail_extremes(blocks)
+    sup_b, inf_b = _tail_extremes([b[::-1] for b in blocks])
+    for b0 in blocks:
+        for p in range(len(b0)):
+            _, fwd = extremal_image(b0[p + 1:], sup_f, inf_f)
+            _, bwd = extremal_image(b0[:p][::-1], sup_b, inf_b)
+            if fwd + bwd + int(b0[p]) > t:
+                return False
+    return True
+
+
+def _blocks_sup(blocks):
+    """The greatest position sup over the blocks, by the loop's route."""
+    sup_f, inf_f = _tail_extremes(blocks)
+    sup_b, inf_b = _tail_extremes([b[::-1] for b in blocks])
+    return max((extremal_image(b[p + 1:], sup_f, inf_f)[1]
+                + extremal_image(b[:p][::-1], sup_b, inf_b)[1] + int(b[p])
+                for b in blocks for p in range(len(b))), key=SurdSum.from_value)
+
+
+def test_certify_blocks_matches_the_position_loop():
+    """Random block sets, at their exact sup (a tie, which certifies) and
+    2^-k above and below it."""
+    rng = random.Random(30)
+    for _ in range(30):
+        m = rng.randrange(1, 6)
+        blocks = sorted({"".join(rng.choice("12") for _ in range(m))
+                         for _ in range(rng.randrange(1, 4))})
+        sup = SurdSum.from_value(_blocks_sup(blocks))
+        assert certify_blocks(blocks, sup) and _certify_blocks_loop(blocks, sup)
+        for k in (1, 10, 60):
+            for t in (sup - Fraction(1, 2 ** k), sup + Fraction(1, 2 ** k)):
+                assert certify_blocks(blocks, t) == _certify_blocks_loop(blocks, t) == (t > sup)
 
 
 def test_certify_blocks_parses_a_text_threshold():

@@ -1,8 +1,9 @@
 """Source hygiene: every module of the package reads each name it imports,
 every name a module defines at top level is read somewhere, no two classes
 of one module define a method with the same body, no module reads
-mpmath's global contexts or sets a precision, and every _private name the
-docstrings, comments and README write is one the package defines.
+mpmath's global contexts or sets a precision, every _private name the
+docstrings, comments and README write is one the package defines, and every
+module.name they write names an attribute of that module.
 
 The package's `__init__` is skipped by the import check: its imports are the
 public names it re-exports.  `from __future__` imports bind no name.
@@ -10,10 +11,12 @@ public names it re-exports.  `from __future__` imports bind no name.
 
 import ast
 import copy
+import importlib
 import io
 import re
 import tokenize
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -271,3 +274,40 @@ def test_the_check_sees_a_stale_private_name():
     docs = {"README.md": "`m._kept`, `m._missing`, __init__ and x_i"}
     assert _stale_private_names({"m.py": source}, docs) == [
         ("README.md", "_missing"), ("m.py", "_also_gone"), ("m.py", "_gone")]
+
+
+def _code_spans(markdown):
+    """The inline code spans of a markdown text; fenced blocks are left out
+    (their variables, such as the quick tour's lang, are not modules)."""
+    text = re.sub(r"^```.*?^```", "", markdown, flags=re.M | re.S)
+    return re.findall(r"`([^`\n]+)`", text)
+
+
+def _stale_qualified_names(modules, texts):
+    """(file, "module.name") for each module.name written in texts (file ->
+    list of texts) where module is a key of modules (name -> module) that
+    has no attribute name."""
+    written = re.compile(r"(?<![\w.])(%s)\.([A-Za-z_]\w*)" % "|".join(map(re.escape, modules)))
+    return sorted({(name, "%s.%s" % (mod, attr)) for name, parts in texts.items()
+                   for text in parts for mod, attr in written.findall(text)
+                   if not hasattr(modules[mod], attr)})
+
+
+def test_docs_name_only_existing_module_attributes():
+    modules = {path.stem: importlib.import_module("cfspectra." + path.stem) for path in MODULES}
+    texts = {path.name: _doc_texts(path.read_text()) for path in PACKAGE.glob("*.py")}
+    readme = PACKAGE.parents[1] / "README.md"
+    texts[readme.name] = _code_spans(readme.read_text())
+    assert _stale_qualified_names(modules, texts) == []
+
+
+def test_the_check_sees_a_stale_module_attribute():
+    source = ('"""Reads m.kept and m.gone, not pkg.m.nested or m_x.y."""\n'
+              "# m.also_gone is named here\n"
+              "x = 'm.in_a_string'\n")
+    readme = ("`m.kept(x)` and `m.missing`, then m.prose\n"
+              "```python\nm.fenced = 1\n```\n")
+    modules = {"m": SimpleNamespace(kept=1)}
+    texts = {"m.py": _doc_texts(source), "README.md": _code_spans(readme)}
+    assert _stale_qualified_names(modules, texts) == [
+        ("README.md", "m.missing"), ("m.py", "m.also_gone"), ("m.py", "m.gone")]

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from cfspectra import dimension, lang
 from cfspectra.biseq import BiSeq, _markov_periodic, lambda_at, markov_value
-from cfspectra.cf import IDENTITY, cylinder_length, floor_exp, floor_log, mat_mul, r_exponent
+from cfspectra.cf import (IDENTITY, cf_matrix, cylinder_length, floor_exp, floor_log, mat_mul,
+                         r_exponent)
 from cfspectra.errors import DomainError
 from cfspectra.surd import QuadSurd, SurdSum, refine
 from cfspectra.words import Word
@@ -398,6 +399,65 @@ def test_block_factor_cap_matches_r_exponent_on_random_words():
             found += got is not None
         counts.append(found)
     assert counts == sorted(counts) and counts[0] < counts[1] < counts[-1]
+
+
+def _aabb_factor_uncapped(s, qmax):
+    """_aabb_factor's scan without the length cap: every alphabet pair whose
+    factors fit s is scanned, and each factor found is held against qmax."""
+    for A, B in lang._alphabet_digit_pairs((len(s) + 15) // 16 * 16):
+        if 2 * (len(A) + len(B)) > len(s):
+            break
+        for target in (s, s[::-1]):
+            for m in lang._block_pattern(A, B).finditer(target):
+                if qmax is None:
+                    return m[1]
+                _, _, g10, g11 = cf_matrix(m[1])
+                if g11 * (g10 + g11) <= qmax:
+                    return m[1]
+    return None
+
+
+_CAPS = [None, 0] + [lang.Threshold.of("3+6^-%d" % k).qmax for k in range(1, 41)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_digit_words(60), _block_words().map(lambda w: w[:60])),
+       st.sampled_from(_CAPS))
+@example("2222111122221111", _CAPS[3])
+@example("22221111", 0)
+def test_block_rule_length_cap_keeps_every_factor(s, qmax):
+    assert lang._aabb_factor(s, qmax) == _aabb_factor_uncapped(s, qmax)
+
+
+def test_capped_length_is_the_least_length_past_the_cap():
+    """Over every {1,2}-word of up to 12 digits: each word of L + 1 digits
+    has q > qmax, and some word of L digits has q <= qmax (for L > 0)."""
+    def q(w):
+        _, _, g10, g11 = cf_matrix("".join(w))
+        return g11 * (g10 + g11)
+
+    least = [min(q(w) for w in itertools.product("12", repeat=n)) for n in range(13)]
+    caps = list(range(least[12])) + [c for c in _CAPS if c is not None and c < least[12]]
+    for qmax in caps:
+        L = lang._capped_length(qmax)
+        assert least[L + 1] > qmax and (L == 0 or least[L] <= qmax), qmax
+    assert lang._capped_length(lang.Threshold.of("3+6^-3").qmax) == 6
+
+
+def test_membership_requests_no_block_pattern_past_the_cap(monkeypatch):
+    """At 3+6^-3 the cap is q <= 403, which no word of 7 digits meets, and
+    the shortest block factor has 8: the block rule scans nothing."""
+    requested = []
+    real = lang._block_pattern
+
+    def spy(A, B):
+        requested.append((A, B))
+        return real(A, B)
+
+    monkeypatch.setattr(lang, "_block_pattern", spy)
+    cert = lang.membership("111112211222", "3+6^-3", max_depth=4)
+    assert requested == []
+    assert (cert.verdict, cert.refutation_depth) == ("unresolved", 4)
 
 
 _SCREEN_THRESHOLDS = ["3", "3+6^-6", "3+6^-204", "3.05", "sqrt(12)"]
