@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import cf_matrix, periodic_fixpoint
+from .cf import _mobius, cf_matrix, periodic_fixpoint
 from .errors import DomainError
 from .surd import SurdSum
 from .words import Word
@@ -93,25 +93,32 @@ class BiSeq:
 def lambdas(s, lo, hi):
     """lambda at positions lo..hi-1, in order, from one backward and one
     forward pass over the digits from the left transient (or lo) to the
-    right one (or hi): lambda_i = x_i + y_i, with y_{i+1} = 1/(s_i + y_i)
-    for y_i = [0; s_{i-1}, s_{i-2}, ...] and x_i = s_i + 1/x_{i+1} for
-    x_i = [s_i; s_{i+1}, ...].  Where the digits stop, y is seeded by the
-    fixed point of the reversed left period and x by 1 over that of the
-    right period, each rotated to its phase.  Each side stays in its
-    period's field Q(sqrt(D)), so a purely periodic sequence gives one
-    QuadSurd per position."""
+    right one (or hi), each a chain of one-digit Moebius images (cf._mobius)
+    that divides nothing: lambda_i = w_i + z_i for the backward value
+    w_i = [s_i; s_{i-1}, s_{i-2}, ...], with w_{i+1} = (s_{i+1}, 1, 1, 0) w_i,
+    and the forward tail z_i = [0; s_{i+1}, s_{i+2}, ...], with
+    z_{i-1} = G(s_i) z_i.  Where the digits stop, z is seeded by the fixed
+    point of the right period and w by the image under (1, s_a, 0, 1), with
+    a the first position of the window, of that of the reversed left period,
+    each rotated to its phase.  Each side stays in its period's field
+    Q(sqrt(D)), so a purely periodic sequence gives one QuadSurd per
+    position."""
+    if hi <= lo:
+        return []
     nl, nr = len(s.left_transient), len(s.right_transient)
     a, b = min(lo, -nl), max(hi, nr)
     digits = [int(ch) for ch in s.segment(a, b)]
-    y = [periodic_fixpoint(_rotate(s.left_period.letters[::-1], -a - nl))]
-    for d in digits[:hi - 1 - a]:
-        y.append(1 / (d + y[-1]))  # y[k] at position a + k
-    x = 1 / periodic_fixpoint(_rotate(s.right_period.letters, b - nr))
+    y = periodic_fixpoint(_rotate(s.left_period.letters[::-1], -a - nl))
+    w = [_mobius((1, digits[0], 0, 1), y)]
+    for d in digits[1:hi - a]:
+        w.append(_mobius((d, 1, 1, 0), w[-1]))  # w[k] at position a + k
+    z = periodic_fixpoint(_rotate(s.right_period.letters, b - nr))
     out = []
     for k in range(b - a - 1, lo - a - 1, -1):  # positions b-1 down to lo
-        x = digits[k] + 1 / x
         if k < hi - a:
-            out.append(x + y[k])
+            out.append(z + w[k])
+        if k > lo - a:
+            z = _mobius((0, 1, 1, digits[k]), z)
     return out[::-1]
 
 

@@ -7,9 +7,11 @@ Everything runs through the 2x2 integer matrix of a digit word w = d1...dk,
 for which [0; w, tail] = (g00*x + g01) / (g10*x + g11) where x = [0; tail].
 In particular [0; w] = g01/g11 and |I(w)| = 1 / (g11 * (g10 + g11)).
 Every exact value of a word continued by a known tail is that Moebius image,
-tail_image, every extremum over a hull of tails is extremal_image, and the
-range of lambda at one position of a digit string over two hulls of tails is
-lambda_range (lambda along an eventually periodic sequence is biseq.lambdas).
+tail_image, which _mobius forms as one QuadSurd from integers (the library's
+one field quotient), every extremum over a hull of tails is extremal_image,
+and the range of lambda at one position of a digit string over two hulls of
+tails is lambda_range (lambda along an eventually periodic sequence is
+biseq.lambdas, a chain of one-digit images).
 """
 
 from __future__ import annotations
@@ -169,11 +171,16 @@ def periodic_fixpoint(period):
 
 
 def _mobius(g, x):
-    """(g00*x + g01) / (g10*x + g11) for a matrix g and a QuadSurd x."""
+    """(g00*x + g01) / (g10*x + g11) for an integer matrix g and a QuadSurd
+    x = (p + q*sqrt(d))/r, as one QuadSurd: the library's one field
+    quotient.  With the numerator a + b*sqrt(d) and the denominator
+    c + e*sqrt(d) of the integers a = g00*p + g01*r, b = g00*q,
+    c = g10*p + g11*r and e = g10*q (the r's cancel), the image is
+    ((a*c - b*e*d) + (b*c - a*e)*sqrt(d)) / (c^2 - e^2*d)."""
     g00, g01, g10, g11 = g
-    num = QuadSurd(g00 * x.p + g01 * x.r, g00 * x.q, 1, x.d)
-    den = QuadSurd(g10 * x.p + g11 * x.r, g10 * x.q, 1, x.d)
-    return num / den
+    p, q, r, d = x.p, x.q, x.r, x.d
+    a, b, c, e = g00 * p + g01 * r, g00 * q, g10 * p + g11 * r, g10 * q
+    return QuadSurd(a * c - b * e * d, b * c - a * e, c * c - e * e * d, d)
 
 
 def tail_image(prefix, x):

@@ -2,10 +2,11 @@
 
 Values are represented exactly: a QuadSurd is (p + q*sqrt(d))/r with integer
 components, a SurdSum is a rational plus finitely many rational multiples of
-square roots.  The library reaches every certified value by addition and
-comparison alone, so each type carries only what that needs: a QuadSurd is
-the field Q(sqrt(d)) of its one radicand, and a SurdSum adds, subtracts and
-orders, with no product, quotient or power.
+square roots.  The library reaches a QuadSurd as an integer Moebius image of
+another (cf._mobius forms the quotient from integers) and every certified
+value from those by addition and comparison alone, so each type carries only
+what that needs: both types add, subtract and order, with no product,
+quotient or power.
 
 Sign determination never rounds: radicands are merged whenever their product
 is a perfect square (an integer-sqrt test, no factoring), after which the
@@ -16,6 +17,7 @@ separates from zero under interval refinement.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -277,18 +279,21 @@ class QuadSurd(_Ordered):
     """Exact (p + q*sqrt(d))/r with integer p, q, r and d >= 0, r > 0.
 
     Canonical form: gcd(p, q, r) = 1, r > 0, small square factors of d pulled
-    into q, and q = 0 implies d = 0.  Total order is decidable exactly.
-    * and / stay in the field Q(sqrt(d)): they take a QuadSurd of the same
-    radicand (a rational one lies in every field), an int or a Fraction, and
-    raise TypeError across radicands; + and - across radicands give a SurdSum.
+    into q, and q = 0 implies d = 0.  Total order is decidable exactly.  The
+    components are read through operator.index, so a float or a Fraction
+    raises TypeError; a rational value p/r is QuadSurd(p, 0, r).  A QuadSurd
+    adds, subtracts and orders, with no product, quotient or power: + and -
+    stay in the field Q(sqrt(d)), and across radicands give a SurdSum.  A
+    quotient in the field is formed only as an integer Moebius image
+    (cf._mobius).
     """
 
     __slots__ = ("p", "q", "r", "d")
 
     def __init__(self, p, q=0, r=1, d=0):
+        p, q, r, d = map(operator.index, (p, q, r, d))
         if r == 0:
             raise ZeroDivisionError("zero denominator")
-        p, q, r, d = int(p), int(q), int(r), int(d)
         if q:
             s, core = extract_square(d)
             q *= s
@@ -305,11 +310,6 @@ class QuadSurd(_Ordered):
         if g > 1:
             p, q, r = p // g, q // g, r // g
         self.p, self.q, self.r, self.d = p, q, r, d
-
-    @classmethod
-    def from_fraction(cls, x):
-        f = Fraction(x)
-        return cls(f.numerator, 0, f.denominator, 0)
 
     def to_sum(self):
         # a rational value has d = 0, whose term is dropped
@@ -347,39 +347,6 @@ class QuadSurd(_Ordered):
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return QuadSurd(self.p * f.numerator, self.q * f.numerator,
-                            self.r * f.denominator, self.d)
-        if isinstance(other, QuadSurd) and self._same_field(other):
-            d = self.d or other.d
-            p = self.p * other.p + self.q * other.q * d
-            q = self.p * other.q + self.q * other.p
-            return QuadSurd(p, q, self.r * other.r, d)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadSurd.from_fraction(other)
-        if not (isinstance(other, QuadSurd) and self._same_field(other)):
-            return NotImplemented
-        d = self.d or other.d
-        # multiply by the conjugate of the other value
-        den = other.p * other.p - other.q * other.q * d
-        if den == 0:
-            raise ZeroDivisionError("division by zero QuadSurd")
-        p = (self.p * other.p - self.q * other.q * d) * other.r
-        q = (self.q * other.p - self.p * other.q) * other.r
-        return QuadSurd(p, q, self.r * den, d)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadSurd.from_fraction(other) / self
-        return NotImplemented
 
     def sign(self):
         if self.q == 0:

@@ -304,3 +304,24 @@ def test_markov_value_builds_two_periodic_fixpoints(s):
         m.setattr(biseq, "periodic_fixpoint", spy)
         markov_value(s)
     assert len(calls) == (0 if s.is_periodic() else 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text("12", min_size=1, max_size=16))
+def test_lambdas_builds_three_quad_surds_per_position(period):
+    """lambdas over one period of per(P) builds, per position, one backward
+    image, one forward image and their sum, plus the two periodic seeds: at
+    most 3p + 2 QuadSurds, where steps by reciprocals, 1/(d + y), build
+    about 7 per position."""
+    built = []
+    real = QuadSurd.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(QuadSurd, "__init__", spy)
+        got = lambdas(BiSeq.periodic(period), 0, len(period))
+    assert len(got) == len(period)
+    assert len(built) <= 3 * len(period) + 2

@@ -1,12 +1,15 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cfspectra.cf import (FREE_TAILS, TAIL_MAX, TAIL_MIN, cylinder, cylinder_length, eval_cf,
-                          extremal_image, extremal_tail, floor_exp, floor_log,
+from cfspectra.cf import (FREE_TAILS, TAIL_MAX, TAIL_MIN, _mobius, cylinder, cylinder_length,
+                          eval_cf, extremal_image, extremal_tail, floor_exp, floor_log,
                           lambda_range, periodic_fixpoint, r_exponent, tail_image)
 from cfspectra.dimension import _tail_extremes
 from cfspectra.errors import DomainError
@@ -117,7 +120,6 @@ def test_a_digit_other_than_1_or_2_is_refused(call):
 
 
 def test_r_exponent_growth_bounds():
-    import math
     lo_rate = math.log((3 + math.sqrt(5)) / 2)
     hi_rate = math.log(3 + 2 * math.sqrt(2))
     rng = random.Random(4)
@@ -127,25 +129,62 @@ def test_r_exponent_growth_bounds():
         assert (len(w) - 3) * lo_rate - 1e-9 <= r <= (len(w) + 1) * hi_rate + 1e-9
 
 
+def _field_product(a, b):
+    """a * b for QuadSurds of one field Q(sqrt(d)), by the definition
+    (p + q sqrt(d))(p' + q' sqrt(d)) = (p p' + q q' d) + (p q' + q p') sqrt(d);
+    a rational factor lies in every field."""
+    d = a.d or b.d
+    assert {a.d, b.d} <= {0, d}
+    return QuadSurd(a.p * b.p + a.q * b.q * d, a.p * b.q + a.q * b.p, a.r * b.r, d)
+
+
+def _rational(f):
+    return QuadSurd(Fraction(f).numerator, 0, Fraction(f).denominator)
+
+
 def test_run_interval_closed_forms():
     # 1/|I(1^n)| follows the golden-ratio closed form exactly at index n;
     # the corresponding 2-run form is index-shifted: its value at n equals
     # 1/|I(2^(n-1))| (it gives 1 at n = 1 while 1/|I(2)| = 6).
     def power(x, k):
-        return math.prod([x] * k, start=QuadSurd(1))
+        return functools.reduce(_field_product, [x] * k, QuadSurd(1))
 
     phi, psi = QuadSurd(3, 1, 2, 5), QuadSurd(3, -1, 2, 5)  # (3 +- sqrt5)/2
     for n in range(1, 13):
         inv1 = Fraction(-1, 5) * (-1) ** (n + 1) \
-            + QuadSurd(1, 1, 10, 5) * power(phi, n + 1) \
-            - QuadSurd(-1, 1, 10, 5) * power(psi, n + 1)
+            + _field_product(QuadSurd(1, 1, 10, 5), power(phi, n + 1)) \
+            - _field_product(QuadSurd(-1, 1, 10, 5), power(psi, n + 1))
         assert inv1 == 1 / cylinder_length("1" * n)
-        inv2 = (power(QuadSurd(3, 2, 1, 2), n) - power(QuadSurd(3, -2, 1, 2), n)) \
-            / QuadSurd(0, 4, 1, 2)
-        if n == 1:
-            assert inv2 == 1
-        else:
-            assert inv2 == 1 / cylinder_length("2" * (n - 1))
+        # the 2-run form times 4 sqrt2 is a difference of powers
+        inv2 = 1 if n == 1 else 1 / cylinder_length("2" * (n - 1))
+        assert power(QuadSurd(3, 2, 1, 2), n) - power(QuadSurd(3, -2, 1, 2), n) \
+            == _field_product(_rational(inv2), QuadSurd(0, 4, 1, 2))
+
+
+_matrices = st.tuples(*[st.integers(-60, 60)] * 4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(QuadSurd, st.integers(-40, 40), st.integers(-8, 8), st.integers(1, 20),
+                 st.sampled_from((0, 2, 3, 5, 8, 12, 221, 4 * 101 ** 2 * 3))),
+       _matrices)
+def test_mobius_image_solves_its_linear_equation(x, g):
+    """_mobius(g, x) = (g00 x + g01) / (g10 x + g11), exactly: the image
+    times the denominator is the numerator, both expanded by a field product
+    that divides nothing, and a rational x gives the Fraction quotient."""
+    g00, g01, g10, g11 = g
+    num = _field_product(_rational(g00), x) + g01
+    den = _field_product(_rational(g10), x) + g11
+    if den == 0:
+        with pytest.raises(ZeroDivisionError):
+            _mobius(g, x)
+        return
+    image = _mobius(g, x)
+    assert isinstance(image, QuadSurd) and image.d in (0, x.d)
+    assert _field_product(image, den) == num
+    if x.q == 0:
+        f = Fraction(x.p, x.r)
+        assert image == (g00 * f + g01) / (g10 * f + g11)
 
 
 def test_periodic_values():
@@ -171,9 +210,19 @@ def test_extremal_tail_examples():
     lo, hi = extremal_tail("")
     assert hi == QuadSurd(-1, 1, 1, 3) == periodic_fixpoint("12")
     assert lo == QuadSurd(-1, 1, 2, 3) == periodic_fixpoint("21")
-    # one-step reciprocal monotonicity
+    # one-step reciprocal monotonicity: 1/(2 + (sqrt3 - 1)/2) = (3 - sqrt3)/3
     _, v2 = extremal_tail("2")
-    assert v2 == 1 / (QuadSurd(-1, 1, 2, 3) + 2)
+    assert v2 == QuadSurd(3, -1, 3, 3)
+
+
+def test_point_hull_is_its_one_tail_image():
+    """A hull of one tail, (x, x), has both ends at the image of x."""
+    rng = random.Random(12)
+    for _ in range(40):
+        prefix = random_word(rng, rng.randrange(0, 12))
+        x = periodic_fixpoint(random_word(rng, rng.randrange(1, 6)))
+        v = tail_image(prefix, x)
+        assert extremal_image(prefix, x, x) == (v, v)
 
 
 def test_extremal_tail_dominates_random_continuations():

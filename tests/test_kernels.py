@@ -727,13 +727,11 @@ def _sign(x, t):
 
 
 def _decision_reference(th, x, den, h):
-    """Threshold.decide by Fraction arithmetic (rational t) or QuadSurd
-    arithmetic (sqrt(12)): 1 when v = 3 + x/den exceeds t, -1 when
-    v + 1/h <= t, else 0."""
+    """Threshold.decide by Fraction arithmetic, compared exactly with t (a
+    Fraction, or the QuadSurd sqrt(12)): 1 when v = 3 + x/den exceeds t, -1
+    when v + 1/h <= t, else 0."""
     v = 3 + Fraction(x, den)
     w = v + Fraction(1, h)
-    if th.root:
-        v, w = QuadSurd.from_fraction(v), QuadSurd.from_fraction(w)
     return 1 if v > th.value else -1 if w <= th.value else 0
 
 
@@ -778,8 +776,8 @@ _DECISION_THRESHOLDS = ["2.9", "3", "3+6^-6", "3+6^-204", "3.05", "4", "sqrt(12)
 @example("3", Fraction(3), False, 7, 2, 0)
 @example("4", Fraction(3), False, 1, 1, 1)
 def test_threshold_decisions_match_fraction_and_quadsurd(text, anchor, plus, den, h, off):
-    """decide and root_le against Fraction arithmetic (rational t) or
-    QuadSurd arithmetic (sqrt(12)).  v (or v + 1/h, when plus) is drawn
+    """decide and root_le against Fraction arithmetic, compared exactly with
+    t (a Fraction, or the QuadSurd sqrt(12)).  v (or v + 1/h, when plus) is drawn
     next to 0, 3 or t (anchor None), or far from all three: x on both
     sides of 0, v on both sides of t and v + 1/h on both sides of t."""
     th = lang.Threshold.of(text)
@@ -845,12 +843,10 @@ def test_position_screen_matches_the_exact_decision(t, tail, word, near, offset,
 
 @pytest.mark.parametrize("t", _DECISION_THRESHOLDS)
 def test_fixed_threshold_is_the_floor_of_its_excess(t):
-    """fixed 2^-F <= t - 3 < (fixed + 1) 2^-F, by Fraction or QuadSurd; below
-    3 that is the floor of a negative number."""
+    """fixed 2^-F <= t - 3 < (fixed + 1) 2^-F, Fractions compared exactly with
+    t; below 3 that is the floor of a negative number."""
     th = lang.Threshold.of(t)
     lo, hi = (3 + Fraction(k, 1 << _F) for k in (th.fixed, th.fixed + 1))
-    if th.root:
-        lo, hi = QuadSurd.from_fraction(lo), QuadSurd.from_fraction(hi)
     assert lo <= th.value < hi
 
 

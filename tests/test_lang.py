@@ -22,7 +22,7 @@ def test_parse_threshold():
     assert parse_threshold("3.06") == Fraction(306, 100)
     assert parse_threshold("3+6^-18") == Fraction(3) + Fraction(1, 6 ** 18)
     s = parse_threshold("sqrt(12)")
-    assert isinstance(s, QuadSurd) and s * s == 12
+    assert isinstance(s, QuadSurd) and s == SurdSum({12: 1})
     assert parse_threshold("3-6^-2") == Fraction(107, 36)
     assert parse_threshold("-3+6^-0") == Fraction(-2)
 
